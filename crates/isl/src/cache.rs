@@ -152,11 +152,8 @@ struct HandleCounters {
     /// attached threads. Nested memoized ops only accrue at the outermost
     /// compute, so the total never exceeds wall time.
     cold_ns: AtomicU64,
-    /// Closed-form fast-path dispatches (`count_fast` family) taken on
-    /// attached threads.
-    fast: AtomicU64,
-    /// Per-kind dispatch counts, indexed by
-    /// [`crate::count::FastPathKind`] discriminant.
+    /// Closed-form fast-path dispatches taken on attached threads,
+    /// indexed by [`crate::count::FastPathKind`] discriminant.
     fast_kinds: [AtomicU64; crate::count::FAST_PATH_KINDS],
 }
 
@@ -209,25 +206,14 @@ impl CounterHandle {
     /// Closed-form counting fast-path dispatches taken on attached
     /// threads (the per-request slice of [`crate::fast_path_stats`]).
     pub fn fast_paths(&self) -> u64 {
-        self.inner.fast.load(Ordering::Relaxed)
+        self.fast_path_stats().total()
     }
 
     /// Per-kind dispatch counts scoped to attached threads — the racing
     /// process-global [`crate::fast_path_stats`] sliced down to this
     /// handle, so dispatch assertions stay exact under test parallelism.
     pub fn fast_path_stats(&self) -> crate::count::CountStats {
-        let k = |i: crate::count::FastPathKind| {
-            self.inner.fast_kinds[i as usize].load(Ordering::Relaxed)
-        };
-        use crate::count::FastPathKind as K;
-        crate::count::CountStats {
-            window_counts: k(K::Window),
-            box_counts: k(K::Box),
-            slab_counts: k(K::Slab),
-            multi_slab_counts: k(K::MultiSlab),
-            pair_chain_counts: k(K::PairChain),
-            coupled_slab_counts: k(K::CoupledSlab),
-        }
+        crate::count::CountStats::from_counters(&self.inner.fast_kinds)
     }
 }
 
@@ -303,13 +289,11 @@ fn timed_compute<T>(compute: impl FnOnce() -> Result<T>) -> Result<T> {
     result
 }
 
-/// Bumps every attached handle's fast-path counters (total and
-/// per-kind); called next to the global fast-path counters in the
-/// counting layer.
+/// Bumps every attached handle's per-kind fast-path counter; called next
+/// to the process-wide counter in the counting layer.
 pub(crate) fn note_fastpath(kind: crate::count::FastPathKind) {
     ATTACHED.with(|a| {
         for h in a.borrow().iter() {
-            h.inner.fast.fetch_add(1, Ordering::Relaxed);
             h.inner.fast_kinds[kind as usize].fetch_add(1, Ordering::Relaxed);
         }
     });

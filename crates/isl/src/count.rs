@@ -10,11 +10,16 @@
 //! 2. equalities are removed with the Omega-test equality reduction
 //!    (unit-coefficient substitution plus Pugh's `sigma` reduction for
 //!    non-unit coefficients) — every step is a bijection;
-//! 3. the remaining pure-inequality system is counted by independent-
-//!    component factoring, closed-form interval and arithmetic-series sums,
-//!    and recursive enumeration with bound propagation.
+//! 3. the remaining pure-inequality system is counted recursively. Each
+//!    node first tries, in order: functional-window projection (an exact
+//!    multiplicative factor), a box or a box ∩ *single* slab closed by
+//!    floor-sums, independent-component factoring, the two-variable pair
+//!    series, and the pair-chain value-table DP. Anything else — notably
+//!    slabs in two or more directions — enumerates its narrowest variable
+//!    after bound propagation, serially, under one work budget.
 //!
-//! Every path is exact; property tests compare against brute force.
+//! Every path is exact; the brute-force oracle corpus checks counts, not
+//! dispatch.
 
 use crate::basic::{BasicMap, Row};
 use crate::value::{ceil_div, floor_div, gcd, mod_hat};
@@ -27,21 +32,9 @@ const ENUM_LIMIT: i64 = 4_000_000;
 /// Hard cap on total recursion work.
 const WORK_LIMIT: u64 = 400_000_000;
 
-/// Process-wide counters for the closed-form counting shortcuts, bumped
-/// each time a shape dispatches to a fast path instead of the recursive
-/// enumerator. Monotonic since process start; used by the `perfbench`
-/// smoke mode (and tests) to assert the fast paths are actually taken.
-/// Tests needing exact attribution under `cargo test` parallelism use
-/// the scoped view ([`crate::CounterHandle::fast_path_stats`]) instead.
-static WINDOW_FAST: AtomicU64 = AtomicU64::new(0);
-static BOX_FAST: AtomicU64 = AtomicU64::new(0);
-static SLAB_FAST: AtomicU64 = AtomicU64::new(0);
-static MULTI_SLAB_FAST: AtomicU64 = AtomicU64::new(0);
-static PAIR_CHAIN_FAST: AtomicU64 = AtomicU64::new(0);
-static COUPLED_SLAB_FAST: AtomicU64 = AtomicU64::new(0);
-
 /// Which closed-form counting shortcut dispatched. The discriminants
-/// index the per-handle counter array in [`crate::cache`].
+/// index the process-wide counter array below and the per-handle one in
+/// [`crate::cache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum FastPathKind {
@@ -51,29 +44,25 @@ pub enum FastPathKind {
     Box = 1,
     /// Box ∩ single slab.
     Slab = 2,
-    /// Box ∩ k≥2 independent slab directions.
-    MultiSlab = 3,
     /// Two-variable closed form / chained two-variable value-table DP.
-    PairChain = 4,
-    /// Coupled slabs sharing variables, closed per shared assignment.
-    CoupledSlab = 5,
+    PairChain = 3,
 }
 
-/// Number of [`FastPathKind`] variants (length of per-handle arrays).
-pub(crate) const FAST_PATH_KINDS: usize = 6;
+/// Number of [`FastPathKind`] variants (length of the counter arrays).
+pub(crate) const FAST_PATH_KINDS: usize = 4;
+
+/// Process-wide dispatch counters, indexed by [`FastPathKind`]: bumped
+/// each time a shape dispatches to a closed form instead of the
+/// recursive enumerator. Monotonic since process start; used by the
+/// `perfbench` smoke mode to assert the fast paths are actually taken.
+/// Tests needing exact attribution under `cargo test` parallelism use
+/// the scoped view ([`crate::CounterHandle::fast_path_stats`]) instead.
+static FAST: [AtomicU64; FAST_PATH_KINDS] = [const { AtomicU64::new(0) }; FAST_PATH_KINDS];
 
 /// Bumps the process-wide counter for `kind` plus every attached
 /// [`crate::CounterHandle`]'s scoped per-shape counter.
 fn note(kind: FastPathKind) {
-    let ctr = match kind {
-        FastPathKind::Window => &WINDOW_FAST,
-        FastPathKind::Box => &BOX_FAST,
-        FastPathKind::Slab => &SLAB_FAST,
-        FastPathKind::MultiSlab => &MULTI_SLAB_FAST,
-        FastPathKind::PairChain => &PAIR_CHAIN_FAST,
-        FastPathKind::CoupledSlab => &COUPLED_SLAB_FAST,
-    };
-    ctr.fetch_add(1, Ordering::Relaxed);
+    FAST[kind as usize].fetch_add(1, Ordering::Relaxed);
     crate::cache::note_fastpath(kind);
 }
 
@@ -87,18 +76,32 @@ pub struct CountStats {
     pub box_counts: u64,
     /// Box ∩ single slab (or halfspace) shapes counted by floor-sums.
     pub slab_counts: u64,
-    /// Box ∩ k≥2 independent slab directions counted by the split-and-
-    /// floor-sum path.
+    /// Always 0: slabs in two or more directions have no closed form and
+    /// count by recursion. The field stays for existing consumers.
     pub multi_slab_counts: u64,
     /// Two-variable projections closed by the generalized pair series,
     /// and chained two-variable components closed by the value-table DP.
     pub pair_chain_counts: u64,
-    /// Coupled-slab shapes (slabs sharing variables) closed by
-    /// per-assignment interval intersection with multiple kept slabs.
+    /// Always 0: coupled slabs (slabs sharing variables) have no closed
+    /// form and count by recursion. The field stays for existing
+    /// consumers.
     pub coupled_slab_counts: u64,
 }
 
 impl CountStats {
+    /// Builds a snapshot from counters indexed by [`FastPathKind`].
+    pub(crate) fn from_counters(c: &[AtomicU64; FAST_PATH_KINDS]) -> CountStats {
+        let k = |kind: FastPathKind| c[kind as usize].load(Ordering::Relaxed);
+        CountStats {
+            window_counts: k(FastPathKind::Window),
+            box_counts: k(FastPathKind::Box),
+            slab_counts: k(FastPathKind::Slab),
+            multi_slab_counts: 0,
+            pair_chain_counts: k(FastPathKind::PairChain),
+            coupled_slab_counts: 0,
+        }
+    }
+
     /// Sum of all dispatch counters.
     pub fn total(&self) -> u64 {
         self.window_counts
@@ -112,14 +115,7 @@ impl CountStats {
 
 /// Current fast-path dispatch counters (process-wide, monotonic).
 pub fn fast_path_stats() -> CountStats {
-    CountStats {
-        window_counts: WINDOW_FAST.load(Ordering::Relaxed),
-        box_counts: BOX_FAST.load(Ordering::Relaxed),
-        slab_counts: SLAB_FAST.load(Ordering::Relaxed),
-        multi_slab_counts: MULTI_SLAB_FAST.load(Ordering::Relaxed),
-        pair_chain_counts: PAIR_CHAIN_FAST.load(Ordering::Relaxed),
-        coupled_slab_counts: COUPLED_SLAB_FAST.load(Ordering::Relaxed),
-    }
+    CountStats::from_counters(&FAST)
 }
 
 /// A free-form constraint system: `n` variables, rows of width `n + 1`
@@ -517,21 +513,11 @@ impl Tableau {
         Ok(out)
     }
 
-    /// Substitutes `var = val`, folding the column into the constant,
-    /// drawing the row containers from `arena` instead of allocating
-    /// fresh ones — the recursive counter's enumeration loop builds and
-    /// drops one tableau per enumerated value, so the containers cycle
-    /// through the pool instead of the allocator. Fails with
-    /// [`Error::Overflow`] when the folded constant leaves i64.
-    fn fix_with(&self, var: usize, val: i64, arena: &mut RowArena) -> Result<Tableau> {
-        let n = self.n;
-        let mut t = Tableau {
-            n: n - 1,
-            eqs: arena.take(self.eqs.len()),
-            ineqs: arena.take(self.ineqs.len()),
-        };
+    /// Substitutes `var = val`, folding the column into the constant.
+    /// Fails with [`Error::Overflow`] when the folded constant leaves i64.
+    fn fix(&self, var: usize, val: i64) -> Result<Tableau> {
         let conv = |r: &Row| -> Result<Row> {
-            let mut out = Row::with_capacity(n);
+            let mut out = Row::with_capacity(self.n);
             for (i, &c) in r.iter().enumerate() {
                 if i == var {
                     continue;
@@ -543,72 +529,18 @@ impl Tableau {
             out[k] = i64::try_from(folded).map_err(|_| Error::Overflow)?;
             Ok(out)
         };
+        let mut t = Tableau {
+            n: self.n - 1,
+            eqs: Vec::with_capacity(self.eqs.len()),
+            ineqs: Vec::with_capacity(self.ineqs.len()),
+        };
         for r in &self.eqs {
-            match conv(r) {
-                Ok(row) => t.eqs.push(row),
-                Err(e) => {
-                    arena.reclaim(t);
-                    return Err(e);
-                }
-            }
+            t.eqs.push(conv(r)?);
         }
         for r in &self.ineqs {
-            match conv(r) {
-                Ok(row) => t.ineqs.push(row),
-                Err(e) => {
-                    arena.reclaim(t);
-                    return Err(e);
-                }
-            }
+            t.ineqs.push(conv(r)?);
         }
         Ok(t)
-    }
-}
-
-/// Pool of `Vec<Row>` containers cycled through the recursive counter's
-/// cold path.
-///
-/// Rows up to 16 columns wide store their coefficients inline
-/// ([`crate::row`]), so the only heap traffic of a tableau clone is the
-/// two `Vec<Row>` containers themselves — exactly what `fix`-per-value
-/// enumeration churns. The pool keeps dropped containers (cleared, with
-/// their capacity) for the next clone at the same recursion depth.
-pub(crate) struct RowArena {
-    pool: Vec<Vec<Row>>,
-}
-
-impl RowArena {
-    /// Containers kept across [`RowArena::put`]; beyond this they drop.
-    const MAX_POOLED: usize = 64;
-
-    pub(crate) fn new() -> RowArena {
-        RowArena { pool: Vec::new() }
-    }
-
-    /// An empty container with room for `cap` rows, reusing a pooled
-    /// allocation when one is available.
-    fn take(&mut self, cap: usize) -> Vec<Row> {
-        match self.pool.pop() {
-            Some(mut v) => {
-                v.reserve(cap);
-                v
-            }
-            None => Vec::with_capacity(cap),
-        }
-    }
-
-    /// Returns a container (cleared) to the pool.
-    fn put(&mut self, mut v: Vec<Row>) {
-        if self.pool.len() < Self::MAX_POOLED {
-            v.clear();
-            self.pool.push(v);
-        }
-    }
-
-    /// Returns a finished tableau's containers to the pool.
-    fn reclaim(&mut self, t: Tableau) {
-        self.put(t.eqs);
-        self.put(t.ineqs);
     }
 }
 
@@ -895,14 +827,8 @@ fn components(t: &Tableau) -> Vec<Vec<usize>> {
     groups
 }
 
-/// Extracts the subsystem touching exactly the variables in `vars`,
-/// drawing row containers from `arena`.
-fn subsystem_with(t: &Tableau, vars: &[usize], arena: &mut RowArena) -> Tableau {
-    let mut sub = Tableau {
-        n: vars.len(),
-        eqs: arena.take(0),
-        ineqs: arena.take(0),
-    };
+/// Extracts the subsystem touching exactly the variables in `vars`.
+fn subsystem(t: &Tableau, vars: &[usize]) -> Tableau {
     let conv = |r: &Row| -> Option<Row> {
         // Row belongs to this component iff all its nonzero vars are inside.
         let mut out = Row::zeros(vars.len() + 1);
@@ -918,9 +844,11 @@ fn subsystem_with(t: &Tableau, vars: &[usize], arena: &mut RowArena) -> Tableau 
             None
         }
     };
-    sub.ineqs.extend(t.ineqs.iter().filter_map(conv));
-    sub.eqs.extend(t.eqs.iter().filter_map(conv));
-    sub
+    Tableau {
+        n: vars.len(),
+        eqs: t.eqs.iter().filter_map(conv).collect(),
+        ineqs: t.ineqs.iter().filter_map(conv).collect(),
+    }
 }
 
 /// Counts a single variable's feasible interval directly from the rows.
@@ -1072,11 +1000,6 @@ fn count_pair_series(t: &Tableau, ranges: &[(Option<i64>, Option<i64>)]) -> Resu
     Ok(None)
 }
 
-/// Closed-form dispatch: returns `Some(count)` when the (normalized,
-/// equality-free) tableau is an axis-aligned box or a box intersected with
-/// a single slab (one halfspace, or two-plus parallel ones), `None` when
-/// the shape needs the recursive counter. `work` shares [`count_rec`]'s
-/// effort budget: the halfspace enumeration charges its loop count.
 /// Total value-table cells (sum of variable range widths) the pair-chain
 /// DP may allocate before deferring to the recursive counter.
 const PAIR_CHAIN_CELL_LIMIT: u128 = 1 << 18;
@@ -1272,6 +1195,11 @@ fn count_pair_chain(
     Ok(Some(total))
 }
 
+/// Closed-form dispatch: returns `Some(count)` when the (normalized,
+/// equality-free) tableau is an axis-aligned box or a box intersected with
+/// a single slab (one halfspace, or two-plus parallel ones), `None` when
+/// the shape needs the recursive counter. `work` shares [`count_rec`]'s
+/// effort budget: the halfspace enumeration charges its loop count.
 fn count_fast(t: &Tableau, limit: Option<u128>, work: &mut u64) -> Result<Option<u128>> {
     if !t.eqs.is_empty() {
         return Ok(None);
@@ -1284,50 +1212,34 @@ fn count_fast(t: &Tableau, limit: Option<u128>, work: &mut u64) -> Result<Option
         note(FastPathKind::Box);
         return Ok(Some(c));
     }
-    // Group the multi-variable rows by the linear expression they bound
-    // (up to sign): each group is one slab `lo <= e <= hi` (one halfspace
-    // is the degenerate slab with a side missing). A single group is the
-    // classic skewed time-stamp shape of TENET dataflows (`t = p0 + p1 +
-    // k` with `k` boxed); two-plus *independent* directions form the
-    // zonotope-like shapes that used to fall back to the recursive
-    // counter.
+    // Every multi-variable row must bound the same linear expression `e`
+    // (up to sign): together they form one slab `lo <= e <= hi` (a
+    // halfspace when a side is missing) — the classic skewed time-stamp
+    // shape of TENET dataflows (`t = p0 + p1 + k` with `k` boxed). A
+    // second direction defers to the recursive counter.
     let n = t.n;
-    let mut groups: Vec<SlabGroup> = Vec::new();
+    let dir = &t.ineqs[wide[0]][..n];
+    let (mut slab_lo, mut slab_hi): (Option<i128>, Option<i128>) = (None, None);
     for &wi in &wide {
         let r = t.ineqs[wi].as_slice();
-        let mut matched = false;
-        for g in groups.iter_mut() {
-            if r[..n] == g.dir[..] {
-                // dir·x + c >= 0  =>  e >= -c.
-                let b = -(r[n] as i128);
-                if g.lo.is_none_or(|cur| b > cur) {
-                    g.lo = Some(b);
-                }
-                matched = true;
-                break;
-            } else if r[..n]
-                .iter()
-                .zip(g.dir.iter())
-                .all(|(a, d)| *a as i128 == -(*d as i128))
-            {
-                // -dir·x + c >= 0  =>  e <= c.
-                let b = r[n] as i128;
-                if g.hi.is_none_or(|cur| b < cur) {
-                    g.hi = Some(b);
-                }
-                matched = true;
-                break;
+        if r[..n] == *dir {
+            // dir·x + c >= 0  =>  e >= -c.
+            let b = -(r[n] as i128);
+            if slab_lo.is_none_or(|cur| b > cur) {
+                slab_lo = Some(b);
             }
-        }
-        if !matched {
-            if groups.len() >= MAX_SLAB_GROUPS {
-                return Ok(None); // too many directions: fall back
+        } else if r[..n]
+            .iter()
+            .zip(dir)
+            .all(|(a, d)| *a as i128 == -(*d as i128))
+        {
+            // -dir·x + c >= 0  =>  e <= c.
+            let b = r[n] as i128;
+            if slab_hi.is_none_or(|cur| b < cur) {
+                slab_hi = Some(b);
             }
-            groups.push(SlabGroup {
-                dir: r[..n].to_vec(),
-                lo: Some(-(r[n] as i128)),
-                hi: None,
-            });
+        } else {
+            return Ok(None);
         }
     }
     // Derive bounds implied by the slab rows for variables the box leaves
@@ -1383,14 +1295,6 @@ fn count_fast(t: &Tableau, limit: Option<u128>, work: &mut u64) -> Result<Option
             }
         }
     }
-    if groups.len() >= 2 {
-        return count_multi_slab(&bounds, &groups, limit, work);
-    }
-    let SlabGroup {
-        dir,
-        lo: slab_lo,
-        hi: slab_hi,
-    } = groups.swap_remove(0);
     // Split variables into slab participants and pure box factors.
     let mut hs: Vec<(i128, i128, i64)> = Vec::new();
     let mut box_bounds: Vec<(Option<i128>, Option<i128>)> = Vec::new();
@@ -1479,377 +1383,9 @@ fn count_fast(t: &Tableau, limit: Option<u128>, work: &mut u64) -> Result<Option
     Ok(Some(factor.checked_mul(inner).ok_or(Error::Overflow)?))
 }
 
-/// One direction's worth of wide rows: the slab `lo <= dir·x <= hi`
-/// (either side may be absent — a halfspace).
-struct SlabGroup {
-    dir: Vec<i64>,
-    lo: Option<i128>,
-    hi: Option<i128>,
-}
-
-/// Cap on distinct slab directions the fast path will analyze; beyond it
-/// the recursive counter takes over.
-const MAX_SLAB_GROUPS: usize = 6;
-
-/// Exactly counts a box intersected with `k >= 2` slabs of independent
-/// directions, including *coupled* slabs that share variables.
-///
-/// A small enumeration set `E` of variables is chosen greedily so that
-/// after pinning `E`, the slabs still touching two or more free
-/// variables are pairwise variable-disjoint — only *shared* variables
-/// are ever pinned, so two slabs coupled through one variable cost a
-/// single odometer axis instead of a whole slab's worth. Each remaining
-/// multi-variable slab closes independently with the same Euclidean
-/// floor-sum telescoping the single-slab path uses (their free-variable
-/// sets are disjoint, so the per-assignment counts multiply); every
-/// other slab collapses to a *single-variable interval* (or a constant
-/// feasibility check), which merely tightens that variable's box
-/// bounds. Pinning proceeds by odometer over `E`'s box ranges with
-/// cheap integer arithmetic only; no tableau is rebuilt anywhere.
-///
-/// Dispatch is recorded as [`FastPathKind::CoupledSlab`] when two or
-/// more true slabs survive the pinning (the shapes the old greedy — pin
-/// until one slab remains — enumerated much more widely), and
-/// [`FastPathKind::MultiSlab`] otherwise.
-///
-/// Returns `Ok(None)` when the shape is unsuitable (unboxed slab
-/// variables, enumeration too wide, extreme coefficients) — the caller
-/// then falls back to the recursive counter.
-fn count_multi_slab(
-    bounds: &[(Option<i128>, Option<i128>)],
-    groups: &[SlabGroup],
-    limit: Option<u128>,
-    work: &mut u64,
-) -> Result<Option<u128>> {
-    if limit.is_some() {
-        // Emptiness probes keep their pre-existing recursive treatment:
-        // the exact count below could be arbitrarily more work than the
-        // first-point probe needs.
-        return Ok(None);
-    }
-    let n = bounds.len();
-    // Every slab variable must be boxed, and every coefficient negatable.
-    for g in groups {
-        for (v, &b) in bounds.iter().enumerate() {
-            if g.dir[v] == 0 {
-                continue;
-            }
-            if g.dir[v] == i64::MIN {
-                return Ok(None);
-            }
-            match b {
-                (Some(l), Some(h)) => {
-                    if h < l {
-                        return Ok(Some(0));
-                    }
-                }
-                _ => return Ok(None),
-            }
-        }
-    }
-    // Attainable range of each slab expression over the box; clip the
-    // stated windows to it (and detect emptiness).
-    let mut windows: Vec<(i128, i128)> = Vec::with_capacity(groups.len());
-    for g in groups {
-        let (mut e_min, mut e_max) = (0i128, 0i128);
-        for (v, &b) in bounds.iter().enumerate() {
-            let a = g.dir[v] as i128;
-            if a == 0 {
-                continue;
-            }
-            let (l, h) = (b.0.unwrap(), b.1.unwrap());
-            let (tmin, tmax) = if a > 0 { (l, h) } else { (h, l) };
-            e_min = a
-                .checked_mul(tmin)
-                .and_then(|t| e_min.checked_add(t))
-                .ok_or(Error::Overflow)?;
-            e_max = a
-                .checked_mul(tmax)
-                .and_then(|t| e_max.checked_add(t))
-                .ok_or(Error::Overflow)?;
-        }
-        let lo = g.lo.unwrap_or(e_min).max(e_min);
-        let hi = g.hi.unwrap_or(e_max).min(e_max);
-        if hi < lo {
-            return Ok(Some(0));
-        }
-        windows.push((lo, hi));
-    }
-    let width = |v: usize| bounds[v].1.unwrap() - bounds[v].0.unwrap() + 1;
-    let free_of = |g: &SlabGroup, in_e: &[bool]| -> usize {
-        (0..n).filter(|&v| g.dir[v] != 0 && !in_e[v]).count()
-    };
-    // Greedy enumeration set: while some variable is *shared* by two or
-    // more slabs that keep >= 2 free variables, pin the variable
-    // covering the most such slabs (ties: narrowest range first — it
-    // costs the least to enumerate). Pinning stops as soon as the
-    // multi-variable slabs are pairwise disjoint on free variables:
-    // disjoint slabs close independently, so nothing more need be
-    // enumerated.
-    let mut in_e = vec![false; n];
-    loop {
-        let multi: Vec<usize> = (0..groups.len())
-            .filter(|&i| free_of(&groups[i], &in_e) >= 2)
-            .collect();
-        if multi.len() <= 1 {
-            break;
-        }
-        let mut best: Option<(usize, usize, i128)> = None;
-        for (v, &pinned) in in_e.iter().enumerate() {
-            if pinned {
-                continue;
-            }
-            let cov = multi.iter().filter(|&&i| groups[i].dir[v] != 0).count();
-            if cov < 2 {
-                continue;
-            }
-            let w = width(v);
-            if best.is_none_or(|(_, bc, bw)| cov > bc || (cov == bc && w < bw)) {
-                best = Some((v, cov, w));
-            }
-        }
-        match best {
-            Some((v, _, _)) => in_e[v] = true,
-            // No shared variable left: the remaining multi-variable
-            // slabs are pairwise disjoint and each closes on its own.
-            None => break,
-        }
-    }
-    let enum_vars: Vec<usize> = (0..n).filter(|&v| in_e[v]).collect();
-    let kept: Vec<usize> = (0..groups.len())
-        .filter(|&i| free_of(&groups[i], &in_e) >= 2)
-        .collect();
-    let kept_r: Vec<Vec<usize>> = kept
-        .iter()
-        .map(|&kj| {
-            (0..n)
-                .filter(|&v| groups[kj].dir[v] != 0 && !in_e[v])
-                .collect()
-        })
-        .collect();
-    debug_assert!(
-        kept_r
-            .iter()
-            .enumerate()
-            .all(|(i, a)| kept_r[..i].iter().all(|b| a.iter().all(|v| !b.contains(v)))),
-        "kept slabs must be pairwise disjoint on free variables"
-    );
-    // Work guard: odometer volume × each kept slab's inner enumeration
-    // (its dimensions beyond the two widest, like the single-slab path).
-    let mut volume: u128 = 1;
-    for &v in &enum_vars {
-        volume = volume.saturating_mul(width(v) as u128);
-    }
-    let mut inner_work: u128 = 1;
-    for r in &kept_r {
-        let mut widths: Vec<i128> = r.iter().map(|&v| width(v)).collect();
-        widths.sort_unstable_by_key(|&w| std::cmp::Reverse(w));
-        for &w in widths.iter().skip(2) {
-            inner_work = inner_work.saturating_mul(w as u128);
-        }
-    }
-    let total_work = volume.saturating_mul(inner_work);
-    if total_work > HALFSPACE_ENUM_LIMIT {
-        return Ok(None);
-    }
-    *work = work.saturating_add(total_work.min(u64::MAX as u128) as u64);
-    if *work > WORK_LIMIT {
-        return Err(Error::TooComplex("counting work limit exceeded".into()));
-    }
-    // Variables free of E and touched by some slab get per-assignment
-    // tightened bounds; vars touched by nothing contribute a constant box
-    // factor.
-    let touched: Vec<usize> = (0..n)
-        .filter(|&v| !in_e[v] && groups.iter().any(|g| g.dir[v] != 0))
-        .collect();
-    let untouched: Vec<(Option<i128>, Option<i128>)> = (0..n)
-        .filter(|&v| !in_e[v] && groups.iter().all(|g| g.dir[v] == 0))
-        .map(|v| bounds[v])
-        .collect();
-    let factor = count_box(&untouched, None)?;
-    if factor == 0 {
-        return Ok(Some(0));
-    }
-    // Per-slab E-support (coefficient per enum var) and the collapsed
-    // single free variable of each non-kept slab.
-    struct SlabPlan {
-        e_coeffs: Vec<(usize, i128)>,    // (enum index, coefficient)
-        free_var: Option<(usize, i128)>, // (var, coefficient); None = constant
-    }
-    let mut plans: Vec<SlabPlan> = Vec::with_capacity(groups.len());
-    for (i, g) in groups.iter().enumerate() {
-        let e_coeffs = enum_vars
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| g.dir[v] != 0)
-            .map(|(ei, &v)| (ei, g.dir[v] as i128))
-            .collect();
-        let mut free_var = None;
-        if !kept.contains(&i) {
-            for (v, &pinned) in in_e.iter().enumerate() {
-                if g.dir[v] != 0 && !pinned {
-                    debug_assert!(free_var.is_none(), "non-kept slab must have <= 1 free var");
-                    free_var = Some((v, g.dir[v] as i128));
-                }
-            }
-        }
-        plans.push(SlabPlan { e_coeffs, free_var });
-    }
-    // Odometer over E.
-    let mut point: Vec<i128> = enum_vars.iter().map(|&v| bounds[v].0.unwrap()).collect();
-    let mut tb: Vec<(i128, i128)> = vec![(0, 0); n]; // tightened bounds, by var
-    let mut triples: Vec<(i128, i128, i64)> = Vec::new();
-    let mut kept_shifts: Vec<i128> = vec![0; kept.len()];
-    let mut total: u128 = 0;
-    'outer: loop {
-        for &v in &touched {
-            tb[v] = (bounds[v].0.unwrap(), bounds[v].1.unwrap());
-        }
-        let mut feasible = true;
-        for (i, plan) in plans.iter().enumerate() {
-            let mut c: i128 = 0;
-            for &(ei, a) in &plan.e_coeffs {
-                c = a
-                    .checked_mul(point[ei])
-                    .and_then(|t| c.checked_add(t))
-                    .ok_or(Error::Overflow)?;
-            }
-            if let Some(ki) = kept.iter().position(|&kj| kj == i) {
-                kept_shifts[ki] = c;
-                continue;
-            }
-            let lo = windows[i].0.checked_sub(c).ok_or(Error::Overflow)?;
-            let hi = windows[i].1.checked_sub(c).ok_or(Error::Overflow)?;
-            match plan.free_var {
-                None => {
-                    // Fully pinned slab: the window must contain zero.
-                    if lo > 0 || hi < 0 {
-                        feasible = false;
-                        break;
-                    }
-                }
-                Some((v, a)) => {
-                    // lo <= a·x_v <= hi tightens x_v's interval.
-                    let (vlo, vhi) = if a > 0 {
-                        (cd128(lo, a), fd128(hi, a))
-                    } else {
-                        (cd128(hi, a), fd128(lo, a))
-                    };
-                    tb[v].0 = tb[v].0.max(vlo);
-                    tb[v].1 = tb[v].1.min(vhi);
-                    if tb[v].0 > tb[v].1 {
-                        feasible = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if feasible {
-            // Interval-collapsed variables outside every kept slab
-            // multiply directly; each kept slab's residual closes with
-            // floor-sums over its own (disjoint) free variables.
-            let mut cnt: u128 = 1;
-            for &v in &touched {
-                if kept_r.iter().any(|r| r.contains(&v)) {
-                    continue;
-                }
-                cnt = cnt
-                    .checked_mul((tb[v].1 - tb[v].0 + 1) as u128)
-                    .ok_or(Error::Overflow)?;
-            }
-            if cnt > 0 {
-                for (ki, &kj) in kept.iter().enumerate() {
-                    let (mut r_min, mut r_max) = (0i128, 0i128);
-                    triples.clear();
-                    for &v in &kept_r[ki] {
-                        let a = groups[kj].dir[v] as i128;
-                        let (l, h) = tb[v];
-                        let (tmin, tmax) = if a > 0 { (l, h) } else { (h, l) };
-                        r_min = a
-                            .checked_mul(tmin)
-                            .and_then(|t| r_min.checked_add(t))
-                            .ok_or(Error::Overflow)?;
-                        r_max = a
-                            .checked_mul(tmax)
-                            .and_then(|t| r_max.checked_add(t))
-                            .ok_or(Error::Overflow)?;
-                        triples.push((l, h, -groups[kj].dir[v]));
-                    }
-                    let lo = windows[kj]
-                        .0
-                        .checked_sub(kept_shifts[ki])
-                        .ok_or(Error::Overflow)?
-                        .max(r_min);
-                    let hi = windows[kj]
-                        .1
-                        .checked_sub(kept_shifts[ki])
-                        .ok_or(Error::Overflow)?
-                        .min(r_max);
-                    let inner = if hi < lo {
-                        0
-                    } else {
-                        triples.sort_unstable_by_key(|&(l, h, _)| std::cmp::Reverse(h - l));
-                        let upper = count_halfspace_rec(&triples, hi)?;
-                        let lower = if lo > r_min {
-                            count_halfspace_rec(&triples, lo - 1)?
-                        } else {
-                            0
-                        };
-                        debug_assert!(upper >= lower);
-                        upper - lower
-                    };
-                    cnt = cnt.checked_mul(inner).ok_or(Error::Overflow)?;
-                    if cnt == 0 {
-                        break;
-                    }
-                }
-                total = total.checked_add(cnt).ok_or(Error::Overflow)?;
-            }
-        }
-        // Advance the odometer.
-        for ei in 0..enum_vars.len() {
-            point[ei] += 1;
-            if point[ei] <= bounds[enum_vars[ei]].1.unwrap() {
-                continue 'outer;
-            }
-            point[ei] = bounds[enum_vars[ei]].0.unwrap();
-        }
-        break;
-    }
-    note(if kept.len() >= 2 {
-        FastPathKind::CoupledSlab
-    } else {
-        FastPathKind::MultiSlab
-    });
-    Ok(Some(factor.checked_mul(total).ok_or(Error::Overflow)?))
-}
-
 /// Recursively counts a pure-inequality tableau. `limit` allows early exit
-/// (used for emptiness checks). `work` guards total effort. The owned
-/// tableau's row containers return to `arena` when counting finishes.
-fn count_rec(
-    t: Tableau,
-    limit: Option<u128>,
-    work: &mut u64,
-    arena: &mut RowArena,
-) -> Result<u128> {
-    let mut t = t;
-    let r = count_rec_inner(&mut t, limit, work, arena, false);
-    arena.reclaim(t);
-    r
-}
-
-/// [`count_rec`] body. `par` permits one work-stealing split across
-/// threads at this node's enumeration fallback (set only by
-/// [`count_tableau`] for top-level exact counts; recursion below a split
-/// is always serial).
-fn count_rec_inner(
-    t: &mut Tableau,
-    limit: Option<u128>,
-    work: &mut u64,
-    arena: &mut RowArena,
-    par: bool,
-) -> Result<u128> {
+/// (used for emptiness checks). `work` guards total effort.
+fn count_rec(t: &mut Tableau, limit: Option<u128>, work: &mut u64) -> Result<u128> {
     *work += 1;
     if *work > WORK_LIMIT {
         return Err(Error::TooComplex("counting work limit exceeded".into()));
@@ -1878,7 +1414,7 @@ fn count_rec_inner(
         }
     }
     if factor > 1 {
-        let inner = count_rec_inner(t, limit, work, arena, par)?;
+        let inner = count_rec(t, limit, work)?;
         return match limit {
             Some(_) => Ok(inner.saturating_mul(factor)),
             None => inner.checked_mul(factor).ok_or(Error::Overflow),
@@ -1911,8 +1447,7 @@ fn count_rec_inner(
     if groups.len() > 1 {
         let mut prod: u128 = 1;
         for g in &groups {
-            let sub = subsystem_with(t, g, arena);
-            let c = count_rec(sub, limit, work, arena)?;
+            let c = count_rec(&mut subsystem(t, g), limit, work)?;
             if c == 0 {
                 return Ok(0);
             }
@@ -1966,23 +1501,14 @@ fn count_rec_inner(
             hi as i128 - lo as i128 + 1
         )));
     }
-    if par && limit.is_none() && hi <= i64::MAX - 65 {
-        // (The cursor in the split may run `threads` past `hi`; the guard
-        // keeps its `fetch_add` off the wrapping edge.)
-        let threads = enum_threads();
-        if threads > 1 && hi as i128 - lo as i128 + 1 >= PAR_SPLIT_MIN_WIDTH as i128 {
-            return count_split_parallel(t, var, lo, hi, threads);
-        }
-    }
     let mut total: u128 = 0;
     for v in lo..=hi {
-        let sub = t.fix_with(var, v, arena)?;
+        let mut sub = t.fix(var, v)?;
         total = total
             .checked_add(count_rec(
-                sub,
+                &mut sub,
                 limit.map(|l| l.saturating_sub(total)),
                 work,
-                arena,
             )?)
             .ok_or(Error::Overflow)?;
         if let Some(l) = limit {
@@ -1990,75 +1516,6 @@ fn count_rec_inner(
                 return Ok(total);
             }
         }
-    }
-    Ok(total)
-}
-
-/// Minimum enumeration width before the top-level counting split fans
-/// out across threads (narrower splits don't amortize thread spawn).
-const PAR_SPLIT_MIN_WIDTH: u64 = 16;
-
-/// Worker threads for parallel enumeration/counting: the machine's
-/// available parallelism capped at 8, overridable via
-/// `TENET_ISL_THREADS` (useful to force the parallel paths on small
-/// boxes, or to pin them off).
-fn enum_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        if let Ok(v) = std::env::var("TENET_ISL_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.clamp(1, 64);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
-    })
-}
-
-/// Work-stealing parallel form of the enumeration fallback: workers
-/// claim values of `var` off a shared atomic cursor (granularity 1, so
-/// skewed per-value costs balance), each counting its substituted
-/// subproblem serially with a private arena. Partial totals add with
-/// overflow checks; the first error wins. Each worker carries its own
-/// [`WORK_LIMIT`] budget — a deliberate widening (≤ `threads ×` the
-/// serial budget) in exchange for not contending on a shared counter.
-/// Attached [`crate::CounterHandle`]s propagate to the workers, so
-/// scoped fast-path/dispatch attribution stays exact across the split.
-fn count_split_parallel(t: &Tableau, var: usize, lo: i64, hi: i64, threads: usize) -> Result<u128> {
-    use std::sync::atomic::AtomicI64;
-    let next = AtomicI64::new(lo);
-    let span = (hi as i128 - lo as i128 + 1).min(threads as i128) as usize;
-    let handles = crate::cache::attached_handles();
-    let results: Vec<Result<u128>> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..span)
-            .map(|_| {
-                let next = &next;
-                let handles = &handles;
-                s.spawn(move || -> Result<u128> {
-                    let _guards: Vec<_> = handles.iter().map(|h| h.attach()).collect();
-                    let mut arena = RowArena::new();
-                    let mut work = 0u64;
-                    let mut total: u128 = 0;
-                    loop {
-                        let v = next.fetch_add(1, Ordering::Relaxed);
-                        if v > hi {
-                            return Ok(total);
-                        }
-                        let sub = t.fix_with(var, v, &mut arena)?;
-                        total = total
-                            .checked_add(count_rec(sub, None, &mut work, &mut arena)?)
-                            .ok_or(Error::Overflow)?;
-                    }
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap()).collect()
-    });
-    let mut total: u128 = 0;
-    for r in results {
-        total = total.checked_add(r?).ok_or(Error::Overflow)?;
     }
     Ok(total)
 }
@@ -2079,12 +1536,7 @@ fn count_tableau(mut t: Tableau, limit: Option<u128>) -> Result<u128> {
     if !t.eliminate_equalities()? {
         return Ok(0);
     }
-    let mut work = 0u64;
-    let mut arena = RowArena::new();
-    // Exact top-level counts may split their enumeration fallback across
-    // threads; recursion below the split (and every limited probe, which
-    // wants first-point early exit) stays serial.
-    count_rec_inner(&mut t, limit, &mut work, &mut arena, limit.is_none())
+    count_rec(&mut t, limit, &mut 0)
 }
 
 /// Whether a basic map contains no integer point.
@@ -2125,28 +1577,7 @@ pub(crate) fn basic_sample(bm: &BasicMap) -> Result<Option<Vec<i64>>> {
 /// Enumerates all points (over the visible dims) of a basic map.
 /// Intended for small sets (simulation, testing); errors out beyond
 /// `limit` points.
-///
-/// With more than one available thread (see [`enum_threads`]) and an
-/// outermost variable of finite width ≥ 2, the walk splits into a
-/// work-stealing scan over that variable's propagated range: workers
-/// claim one value at a time off an atomic cursor and run the ordinary
-/// depth-first enumeration below it; per-value buckets merge back in
-/// ascending order, so the output order matches the serial walk exactly.
 pub(crate) fn basic_points(bm: &BasicMap, limit: usize) -> Result<Vec<Vec<i64>>> {
-    let threads = enum_threads();
-    if threads > 1 {
-        let n_vis = bm.div0();
-        let t = Tableau::from_basic(bm)?;
-        if t.n > 0 {
-            let ranges = t.propagate_bounds()?;
-            if let (Some(lo), Some(hi)) = ranges[0] {
-                // Same wrap guard as the counting split's cursor.
-                if hi as i128 - lo as i128 + 1 >= 2 && hi <= i64::MAX - 65 {
-                    return basic_points_par(&t, n_vis, lo, hi, limit, threads, &ranges);
-                }
-            }
-        }
-    }
     let mut out: Vec<Vec<i64>> = Vec::new();
     basic_points_visit(bm, &mut |p| {
         if out.len() >= limit {
@@ -2157,85 +1588,6 @@ pub(crate) fn basic_points(bm: &BasicMap, limit: usize) -> Result<Vec<Vec<i64>>>
         out.push(p.to_vec());
         Ok(())
     })?;
-    Ok(out)
-}
-
-/// Parallel body of [`basic_points`]: splits on the outermost variable.
-///
-/// Enumerating from depth 1 with `point[0]` pinned is sound because the
-/// leaf check validates *every* row exactly — a pinned value that
-/// violates some depth-0 bound simply yields no points. The propagated
-/// ranges are implied by the system, so scanning `[lo, hi]` covers every
-/// solution.
-fn basic_points_par(
-    t: &Tableau,
-    n_vis: usize,
-    lo: i64,
-    hi: i64,
-    limit: usize,
-    threads: usize,
-    ranges: &[(Option<i64>, Option<i64>)],
-) -> Result<Vec<Vec<i64>>> {
-    use std::sync::atomic::AtomicI64;
-    let next = AtomicI64::new(lo);
-    let span = (hi as i128 - lo as i128 + 1).min(threads as i128) as usize;
-    type Buckets = Vec<(i64, Vec<Vec<i64>>)>;
-    let results: Vec<Result<Buckets>> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..span)
-            .map(|_| {
-                let next = &next;
-                s.spawn(move || -> Result<Buckets> {
-                    let mut buckets: Buckets = Vec::new();
-                    let mut point = vec![0i64; t.n];
-                    let mut rng = Some(ranges.to_vec());
-                    let mut mine = 0usize;
-                    loop {
-                        let v = next.fetch_add(1, Ordering::Relaxed);
-                        if v > hi {
-                            return Ok(buckets);
-                        }
-                        point[0] = v;
-                        let mut pts: Vec<Vec<i64>> = Vec::new();
-                        enum_rec(
-                            t,
-                            1,
-                            &mut point,
-                            &mut |p| {
-                                if mine >= limit {
-                                    return Err(Error::TooComplex(format!(
-                                        "more than {limit} points during enumeration"
-                                    )));
-                                }
-                                mine += 1;
-                                pts.push(p.to_vec());
-                                Ok(())
-                            },
-                            n_vis,
-                            &mut rng,
-                        )?;
-                        if !pts.is_empty() {
-                            buckets.push((v, pts));
-                        }
-                    }
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap()).collect()
-    });
-    let mut all: Buckets = Vec::new();
-    for r in results {
-        all.extend(r?);
-    }
-    all.sort_unstable_by_key(|&(v, _)| v);
-    let mut out: Vec<Vec<i64>> = Vec::new();
-    for (_, mut pts) in all {
-        out.append(&mut pts);
-    }
-    if out.len() > limit {
-        return Err(Error::TooComplex(format!(
-            "more than {limit} points during enumeration"
-        )));
-    }
     Ok(out)
 }
 

@@ -76,7 +76,7 @@ fn box_strategy(d: usize) -> BoxedStrategy<String> {
 }
 
 /// Appends `k` random slabs (window constraints on random directions) to a
-/// box text: the multi-slab stack shapes of the new counter.
+/// box text: slab stacks in one or several directions.
 fn slab_stack_strategy(d: usize, k: usize) -> BoxedStrategy<String> {
     (
         box_strategy(d),
@@ -126,8 +126,7 @@ proptest! {
         prop_assert_eq!(warm, oracle, "warm card vs oracle for {}", text);
     }
 
-    /// Two-dimensional stacks hit the interval-collapse corners of the
-    /// multi-slab split (every non-kept slab shares all variables).
+    /// Two-dimensional stacks: every slab shares all variables.
     #[test]
     fn planar_slab_stack_card_matches_oracle(text in slab_stack_strategy(2, 2)) {
         let (cold, warm) = with_and_without_cache(|| {
@@ -229,31 +228,76 @@ fn card_with_dispatch(text: &str) -> (u128, CountStats) {
     (card, handle.fast_path_stats())
 }
 
-/// The k≥2 multi-slab closed form must actually be taken (not silently
-/// fall back) and stay exact, for both the interval-collapse and the
-/// kept-slab floor-sum shapes.
+/// Slabs in two or more directions have no closed form: recursion counts
+/// them. Shared-support pairs, chains, three directions over three dims,
+/// disjoint supports and a shared pivot variable must all match the
+/// brute-force oracle, cold and warm. Each entry is `(text, lo, hi)`
+/// with `[lo, hi]` the oracle's scan window per dimension.
 #[test]
-fn multi_slab_fast_path_taken_and_exact() {
+fn multi_direction_shapes_match_oracle() {
     let shapes = [
-        // Shared-support pair: every slab collapses to intervals.
-        "{ A[x, y] : 0 <= x < 25 and 0 <= y < 25 \
-         and 4 <= x + y and x + y <= 30 and -10 <= x - 2y and x - 2y <= 10 }",
-        // Chain x+y, y+z: one kept slab closes with floor-sums.
-        "{ A[x, y, z] : 0 <= x < 18 and 0 <= y < 18 and 0 <= z < 18 \
-         and 5 <= x + y and x + y <= 24 and 3 <= y + z and y + z <= 27 }",
-        // Three directions over three dims.
-        "{ A[x, y, z] : 0 <= x < 12 and 0 <= y < 12 and 0 <= z < 12 \
-         and 2 <= x + y and x + y <= 18 and 1 <= y + z and y + z <= 19 \
-         and 0 <= x + z and x + z <= 16 }",
+        (
+            "{ A[x, y] : 0 <= x < 25 and 0 <= y < 25 \
+             and 4 <= x + y and x + y <= 30 and -10 <= x - 2y and x - 2y <= 10 }",
+            -1,
+            27,
+        ),
+        (
+            "{ A[x, y, z] : 0 <= x < 18 and 0 <= y < 18 and 0 <= z < 18 \
+             and 5 <= x + y and x + y <= 24 and 3 <= y + z and y + z <= 27 }",
+            -1,
+            27,
+        ),
+        (
+            "{ A[x, y, z] : 0 <= x < 12 and 0 <= y < 12 and 0 <= z < 12 \
+             and 2 <= x + y and x + y <= 18 and 1 <= y + z and y + z <= 19 \
+             and 0 <= x + z and x + z <= 16 }",
+            -1,
+            27,
+        ),
+        (
+            "{ A[x, y, z, w] : 0 <= x < 8 and 0 <= y < 8 and 0 <= z < 8 and 0 <= w < 8 \
+             and 3 <= x + y and x + y <= 10 and 2 <= z + w and z + w <= 12 }",
+            -1,
+            8,
+        ),
+        (
+            "{ A[v, w, x, y, z] : 0 <= v < 8 and 0 <= w < 8 and 0 <= x < 8 \
+             and 0 <= y < 8 and 0 <= z < 8 \
+             and 3 <= v + w + x and v + w + x <= 14 \
+             and 2 <= x + y + z and x + y + z <= 15 }",
+            -1,
+            8,
+        ),
     ];
-    for text in shapes {
-        let (card, stats) = card_with_dispatch(text);
-        let s = Set::parse(text).unwrap();
-        assert_eq!(card, count_by_points(&s, -1, 27), "{text}");
-        assert!(
-            stats.multi_slab_counts + stats.coupled_slab_counts > 0,
-            "multi-slab path not taken for {text}: {stats:?}"
-        );
+    for (text, lo, hi) in shapes {
+        let oracle = count_by_points(&Set::parse(text).unwrap(), lo, hi);
+        let (cold, warm) = with_and_without_cache(|| Set::parse(text).unwrap().card().unwrap());
+        assert_eq!(cold, oracle, "cold {text}");
+        assert_eq!(warm, oracle, "warm {text}");
+    }
+}
+
+/// Wide multi-direction shapes, far beyond a brute-force scan, must still
+/// count exactly by recursion — never `TooComplex`.
+#[test]
+fn wide_multi_direction_shapes_stay_exact() {
+    let cases: [(&str, u128); 2] = [
+        (
+            "{ A[x, y, z] : 0 <= x <= 2999 and 0 <= y <= 2999 and 0 <= z <= 2999 \
+             and 5 <= x + y + z <= 5000 and -100 <= x - z <= 700 }",
+            3_832_052_965,
+        ),
+        (
+            "{ A[x, y, z, w] : 0 <= x < 300 and 0 <= y < 300 and 0 <= z < 300 \
+             and 0 <= w < 300 and 3 <= x + y + z <= 500 and 2 <= z + w <= 400 }",
+            4_367_243_466,
+        ),
+    ];
+    for (text, expect) in cases {
+        let (cold, warm) = with_and_without_cache(|| Set::parse(text).unwrap().card());
+        assert_eq!(cold, Ok(expect), "cold {text}");
+        assert_eq!(warm, Ok(expect), "warm {text}");
     }
 }
 
@@ -419,8 +463,7 @@ fn gen_slab_case(rng: &mut Rng, d: usize, wlo: i64, whi: i64) -> String {
     with_extra(base, &[slab])
 }
 
-/// Two-plus slab directions, half the time on disjoint variable subsets
-/// (the coupled-slab split where both slabs survive the pinning).
+/// Two-plus slab directions, half the time on disjoint variable subsets.
 fn gen_coupled_case(rng: &mut Rng, d: usize, wlo: i64, whi: i64) -> String {
     let base = gen_box(rng, d, wlo, whi);
     let all: Vec<usize> = (0..d).collect();
@@ -641,27 +684,6 @@ fn slab_dispatch_taken() {
 }
 
 #[test]
-fn coupled_slab_dispatch_taken() {
-    // Disjoint supports: both slabs survive pinning untouched.
-    let disjoint = "{ A[x, y, z, w] : 0 <= x < 8 and 0 <= y < 8 and 0 <= z < 8 and 0 <= w < 8 \
-                    and 3 <= x + y and x + y <= 10 and 2 <= z + w and z + w <= 12 }";
-    // Shared variable: pinning x decouples the two three-term slabs.
-    let shared = "{ A[v, w, x, y, z] : 0 <= v < 8 and 0 <= w < 8 and 0 <= x < 8 \
-                  and 0 <= y < 8 and 0 <= z < 8 \
-                  and 3 <= v + w + x and v + w + x <= 14 \
-                  and 2 <= x + y + z and x + y + z <= 15 }";
-    for text in [disjoint, shared] {
-        let (card, stats) = card_with_dispatch(text);
-        let s = Set::parse(text).unwrap();
-        assert_eq!(card, count_by_points(&s, -1, 8), "{text}");
-        assert!(
-            stats.coupled_slab_counts > 0,
-            "coupled-slab path not taken for {text}: {stats:?}"
-        );
-    }
-}
-
-#[test]
 fn pair_series_dispatch_taken() {
     // y's upper bound (M·9 ≈ 1.8e19) exceeds i64, so the slab path cannot
     // box it and the two-variable floor-sum series must close the count.
@@ -677,9 +699,8 @@ fn pair_series_dispatch_taken() {
 
 #[test]
 fn pair_chain_dispatch_taken() {
-    // Monotone 5-chain over [0, 1999]: the multi-slab odometer would pin
-    // two shared variables (2000² assignments > its work cap) so the
-    // value-table DP must take over. Count is multichoose(2000, 5).
+    // Monotone 5-chain over [0, 1999]: the value-table DP closes it in
+    // linear time. Count is multichoose(2000, 5).
     let text = "{ A[a, b, c, d, e] : 0 <= a <= 1999 and 0 <= b <= 1999 and 0 <= c <= 1999 \
                 and 0 <= d <= 1999 and 0 <= e <= 1999 \
                 and 0 <= a - b and 0 <= b - c and 0 <= c - d and 0 <= d - e }";

@@ -1049,6 +1049,10 @@ enum Dispatch {
 /// relayed only when the retry budget is spent; other worker statuses —
 /// including `500`/`504` — are relayed untouched (a deterministic
 /// analysis failure or a worker-side deadline verdict *is* the answer).
+/// A shard whose breaker this request tripped is skipped for the rest of
+/// the request even if the prober re-admits it meanwhile: a probe only
+/// proves the liveness endpoint answers, and must not send the retry
+/// back to a data path whose failures just opened the breaker.
 /// Pool-slot exhaustion on the owning shard ([`ForwardError::Busy`]) is
 /// backpressure, answered `503 busy` without eviction: the shard is
 /// healthy, just saturated, and rehashing its keys would throw away its
@@ -1064,6 +1068,7 @@ fn proxy(
     let replication = state.config.replication.max(1);
     let max_retries = state.config.max_retries;
     let mut retries = 0usize;
+    let mut tripped: Vec<usize> = Vec::new();
     let mut rng = key;
     let mut backoff_us = 2_000u64;
     loop {
@@ -1083,7 +1088,10 @@ fn proxy(
         }
         let owners = {
             let ring = state.ring.read().expect("ring poisoned");
-            ring.owners(key, replication)
+            let mut owners = ring.owners(key, replication + tripped.len());
+            owners.retain(|w| !tripped.contains(w));
+            owners.truncate(replication);
+            owners
         };
         let Some(&primary) = owners.first() else {
             return (
@@ -1162,9 +1170,12 @@ fn proxy(
             }
             Dispatch::Dead(failed) => {
                 for worker in failed {
-                    let tripped = state.note_failure(worker);
+                    let trip = state.note_failure(worker);
+                    if trip {
+                        tripped.push(worker);
+                    }
                     if obs::is_active() {
-                        if tripped {
+                        if trip {
                             let streak = state.config.breaker_threshold;
                             obs::add_event(
                                 "breaker_trip",

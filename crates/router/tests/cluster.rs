@@ -50,16 +50,20 @@ for (i = 0; i < 4; i++)
 arch \"4x4\" { array = [4, 4] interconnect = systolic2d bandwidth = 8 }
 ";
 
-/// A deliberately heavy kernel for the deadline test: big enough that a
-/// cold single-threaded DSE sweep takes far longer than the test's 25 ms
-/// deadline, so the clipped request provably never paid full latency.
+/// A deliberately heavy problem for the deadline test: a 4-loop MTTKRP
+/// whose 72 DSE candidates take a cold single-threaded sweep several
+/// times the test's 25 ms deadline even in release builds (a 3-loop GEMM
+/// has only 18 candidates and finishes inside it), while one two-candidate
+/// chunk stays far below it, so the clipped request provably never paid
+/// full latency.
 const DSE_SLOW_PROBLEM: &str = "\
-for (i = 0; i < 12; i++)
-  for (j = 0; j < 12; j++)
-    for (k = 0; k < 12; k++)
-      S: Y[i][j] += A[i][k] * B[k][j];
+for (i = 0; i < 16; i++)
+  for (j = 0; j < 16; j++)
+    for (k = 0; k < 8; k++)
+      for (l = 0; l < 8; l++)
+        S: Y[i][j] += A[i][k][l] * B[k][j] * C[l][j];
 
-{ S[i,j,k] -> (PE[i,j] | T[i + j + k]) }
+{ S[i,j,k,l] -> (PE[i mod 4, j mod 4] | T[k, floor(i/4), floor(j/4), i mod 4 + j mod 4 + l]) }
 
 arch \"4x4\" { array = [4, 4] interconnect = systolic2d bandwidth = 8 }
 ";
@@ -1015,10 +1019,13 @@ fn health_prober_evicts_and_revives() {
 
 /// Three in-process cores, each behind a seeded [`FaultTransport`]:
 /// worker 0 flaps (periodically entirely dark), workers 1–2 suffer
-/// random latency spikes. `tweak` adjusts the router config on top of
-/// the chaos defaults (fast prober, threads 2).
+/// random latency spikes. With `probes_flap` the flap darkens worker 0's
+/// liveness probes too; without it only its data path goes dark (see
+/// [`DarkDataPath`]). `tweak` adjusts the router config on top of the
+/// chaos defaults (fast prober, threads 2).
 fn chaos_cluster(
     flap: FaultPlan,
+    probes_flap: bool,
     spikes: Option<FaultPlan>,
     tweak: impl FnOnce(&mut RouterConfig),
 ) -> (SpawnedRouter, Vec<Arc<WorkerCore>>) {
@@ -1035,12 +1042,15 @@ fn chaos_cluster(
         .enumerate()
         .map(|(i, core)| {
             let local = Box::new(LocalTransport::new(Arc::clone(core)));
-            let plan = if i == 0 {
-                Some(flap.clone())
-            } else {
-                spikes.clone()
-            };
-            match plan {
+            if i == 0 {
+                let faulty = FaultTransport::new(local, flap.clone());
+                if probes_flap {
+                    return WorkerSpec::Custom(Box::new(faulty));
+                }
+                let direct = LocalTransport::new(Arc::clone(core));
+                return WorkerSpec::Custom(Box::new(DarkDataPath { faulty, direct }));
+            }
+            match spikes.clone() {
                 Some(plan) => WorkerSpec::Custom(Box::new(FaultTransport::new(local, plan))),
                 None => WorkerSpec::Custom(local),
             }
@@ -1057,9 +1067,59 @@ fn chaos_cluster(
     (router, cores)
 }
 
-/// The flap plan both chaos tests share: worker 0 dark for the first 10
-/// of every 30 calls (probes included), i.e. a worker that dies and
-/// recovers over and over for the whole run.
+/// A worker whose data path flaps while its liveness endpoint stays up:
+/// data calls go through the fault plan, probes bypass it (and so do not
+/// advance its flap clock). The prober cannot see this failure, so only
+/// the breaker can evict the worker; the prober re-admits it after each
+/// trip (half-open → closed).
+struct DarkDataPath {
+    faulty: FaultTransport,
+    direct: LocalTransport,
+}
+
+impl Transport for DarkDataPath {
+    fn call(
+        &self,
+        method: &str,
+        path: &str,
+        body: &[u8],
+        read_timeout: Duration,
+        write_timeout: Duration,
+    ) -> Result<(u16, Arc<Vec<u8>>), ForwardError> {
+        self.faulty
+            .call(method, path, body, read_timeout, write_timeout)
+    }
+
+    fn send_control(
+        &self,
+        method: &str,
+        path: &str,
+        timeout: Duration,
+    ) -> std::io::Result<(u16, Vec<u8>)> {
+        self.faulty.send_control(method, path, timeout)
+    }
+
+    fn probe(&self, timeout: Duration) -> bool {
+        self.direct.probe(timeout)
+    }
+
+    fn endpoint(&self) -> String {
+        self.faulty.endpoint()
+    }
+
+    fn kind(&self) -> &'static str {
+        self.faulty.kind()
+    }
+
+    fn hedgeable(&self) -> bool {
+        self.faulty.hedgeable()
+    }
+}
+
+/// The flap plan the chaos tests share: worker 0 dark for the first 10
+/// of every 30 calls, i.e. a worker that dies and recovers over and over
+/// for the whole run. The calls counted are data calls and probes, or
+/// data calls alone behind [`DarkDataPath`].
 fn flap_plan() -> FaultPlan {
     FaultPlan {
         seed: 7,
@@ -1072,18 +1132,29 @@ fn flap_plan() -> FaultPlan {
 #[test]
 fn chaos_with_breakers_zero_5xx_and_bounded_p99() {
     // The headline chaos proof: a seeded plan with a flapping worker and
-    // latency spikes, breakers + bounded retries on (max_retries raised
-    // to 4 so even a revive-mid-retry re-trip fits the budget), 512
-    // client requests — and the chaos must be entirely invisible: every
-    // answer a bit-identical 200, p99 bounded, breakers demonstrably
-    // doing the absorbing.
+    // latency spikes, breakers + bounded retries on (the default budget
+    // of 2), 512 client requests — and the chaos must be entirely
+    // invisible: every answer a bit-identical 200, p99 bounded, breakers
+    // demonstrably doing the absorbing.
+    //
+    // Worker 0's data path is dark for 10 of every 30 data calls while
+    // its probes bypass the flap, so nothing but the breaker can evict
+    // it: the request that meets a dark window fails twice on worker 0,
+    // trips its breaker, and the third attempt lands on the rehashed
+    // owner. The prober then re-admits the still-dark worker (its probes
+    // answer), and a later request may trip it again within the same
+    // window. A probe on the flap clock could evict the worker before
+    // two data calls failed, and the breaker would never trip. The
+    // router never re-dials a shard whose breaker the same request
+    // tripped, so a re-admission mid-request cannot spend the retry
+    // budget.
     let spikes = FaultPlan {
         seed: 11,
         latency_per_mille: 100,
         latency: Duration::from_millis(5),
         ..Default::default()
     };
-    let (router, _cores) = chaos_cluster(flap_plan(), Some(spikes), |c| c.max_retries = 4);
+    let (router, _cores) = chaos_cluster(flap_plan(), false, Some(spikes), |_| {});
     let addr = router.addr();
 
     let keys: Vec<String> = (1..=16).map(analyze_body).collect();
@@ -1144,7 +1215,7 @@ fn chaos_without_breakers_leaks_5xx() {
     // flapping shard off the ring, so every retry re-dials the same dark
     // worker until the retry budget dies — a deterministic client-visible
     // 5xx, quantifying exactly the damage the breaker absorbs above.
-    let (router, _cores) = chaos_cluster(flap_plan(), None, |c| {
+    let (router, _cores) = chaos_cluster(flap_plan(), true, None, |c| {
         c.breaker_threshold = u32::MAX;
         c.health_interval = Duration::ZERO;
     });
@@ -1660,7 +1731,7 @@ fn chaos_retry_trace_shows_the_breaker_trip_and_phases_sum_to_total() {
     // breaker trip, and the rehashed retry — with phase durations summing
     // to within 10% of the end-to-end latency. Prober off and threshold 1
     // make the flap indices and the trip deterministic.
-    let (router, _cores) = chaos_cluster(flap_plan(), None, |c| {
+    let (router, _cores) = chaos_cluster(flap_plan(), true, None, |c| {
         c.breaker_threshold = 1;
         c.health_interval = Duration::ZERO;
     });

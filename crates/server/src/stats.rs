@@ -290,7 +290,6 @@ impl ServerStats {
                                     ("window", Json::from(fast.window_counts)),
                                     ("box", Json::from(fast.box_counts)),
                                     ("slab", Json::from(fast.slab_counts)),
-                                    ("multi_slab", Json::from(fast.multi_slab_counts)),
                                 ]),
                             ),
                         ]),
@@ -498,7 +497,6 @@ pub fn prometheus_from_worker_doc(doc: &Json) -> String {
                 ("window", fp("window")),
                 ("box", fp("box")),
                 ("slab", fp("slab")),
-                ("multi_slab", fp("multi_slab")),
             ],
         );
     }
