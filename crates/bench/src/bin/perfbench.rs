@@ -124,11 +124,26 @@ fn bench_isl(dir: &std::path::Path) {
     )
     .unwrap();
     assert_eq!(pair_chain.card().unwrap(), 268_002_335_000_400);
+    // The availability composition `M⁻¹ ∘ A_{D,F}` of Table III's conv
+    // (KC-P | OY,KCOX-T) on its Mesh array: a union of spacetime
+    // translations composed by substitution.
+    let conv = kernels::conv2d(32, 32, 8, 8, 3, 3).unwrap();
+    let conv_df = dataflows::conv_dataflows(8, 64)
+        .into_iter()
+        .find(|df| df.name() == Some("(KC-P | OY,KCOX-T)"))
+        .unwrap();
+    let conv_arch = tenet_bench::arch_for(&conv_df, &conv, Interconnect::Mesh, 16.0).unwrap();
+    let conv_analysis = tenet_core::Analysis::new(&conv, &conv_df, &conv_arch).unwrap();
+    let conv_adf = conv_analysis.assignment("A").unwrap();
+    let spatial_inv = conv_analysis.spatial_map().unwrap().reverse();
 
     let entries = vec![
         measure("isl_reverse", || theta.reverse()),
         measure("isl_apply_range", || {
             theta.reverse().apply_range(&access).unwrap()
+        }),
+        measure("isl_apply_range_translation", || {
+            spatial_inv.apply_range(&conv_adf).unwrap()
         }),
         measure("isl_card_assignment", || adf.card().unwrap()),
         measure("isl_card_skewed_box", || skewed.card().unwrap()),
@@ -140,7 +155,7 @@ fn bench_isl(dir: &std::path::Path) {
     ];
     for e in &entries {
         println!(
-            "{:<24} cold {:>12.0} ns  warm {:>10.0} ns  ({:>8.1}x, hit rate {:.1}%)",
+            "{:<28} cold {:>12.0} ns  warm {:>10.0} ns  ({:>8.1}x, hit rate {:.1}%)",
             e.op,
             e.cold_ns,
             e.warm_ns,

@@ -8,7 +8,7 @@ use crate::op::{Role, TensorOp};
 use crate::{Error, Result};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
-use tenet_isl::Map;
+use tenet_isl::{Map, Tuple};
 
 /// Options controlling the (rare) non-analytic corners of the model.
 #[derive(Debug, Clone)]
@@ -151,91 +151,39 @@ impl<'a> Analysis<'a> {
         Ok(self.theta.reverse().apply_range(&asf)?)
     }
 
-    /// Text of the spacetime-stamp map for the given offsets and time
-    /// delta (Definition 4), with an exact-increment time constraint.
-    fn spacetime_map_text(&self, offsets: &[Vec<i64>], dt: i64) -> String {
-        let ns = self.df.n_space();
-        let nt = self.df.n_time();
-        let in_dims: Vec<String> = (0..ns)
+    /// The spacetime-stamp map (Definition 4) over `ST[p.., t..]`: one
+    /// translation per pair of a PE offset and a time-stamp delta, built
+    /// structurally (no relation text is formatted or parsed).
+    ///
+    /// Time windows arrive here already expanded into the explicit set of
+    /// constant delta vectors ([`window_deltas`]): every disjunct is then a
+    /// pure translation (`t' = t + Δ`), which keeps the availability
+    /// composition `M⁻¹ ∘ A_{D,F}` on the substitution path of
+    /// `apply_range`. (A single ordinal inequality with mixed-radix weights
+    /// is equivalent but forces the projector into range splits.)
+    fn spacetime_map(&self, offsets: &[Vec<i64>], time_deltas: &[Vec<i64>]) -> Result<Map> {
+        let dims = (0..self.df.n_space())
             .map(|i| format!("p{i}"))
-            .chain((0..nt).map(|i| format!("t{i}")))
+            .chain((0..self.df.n_time()).map(|i| format!("t{i}")));
+        let deltas: Vec<Vec<i64>> = offsets
+            .iter()
+            .flat_map(|off| {
+                time_deltas
+                    .iter()
+                    .map(move |dt| off.iter().chain(dt).copied().collect())
+            })
             .collect();
-        let mut disjuncts = Vec::new();
-        for off in offsets {
-            let mut out_exprs: Vec<String> = Vec::new();
-            for (i, o) in off.iter().enumerate() {
-                match *o {
-                    0 => out_exprs.push(format!("p{i}")),
-                    v if v > 0 => out_exprs.push(format!("p{i} + {v}")),
-                    v => out_exprs.push(format!("p{i} - {}", -v)),
-                }
-            }
-            for i in 0..nt {
-                if i + 1 == nt && dt != 0 {
-                    out_exprs.push(format!("t{i} + {dt}"));
-                } else {
-                    out_exprs.push(format!("t{i}"));
-                }
-            }
-            disjuncts.push(format!(
-                "ST[{}] -> ST[{}]",
-                in_dims.join(", "),
-                out_exprs.join(", ")
-            ));
-        }
-        format!("{{ {} }}", disjuncts.join("; "))
+        Ok(Map::translations(Tuple::new("ST", dims), &deltas)?)
     }
 
-    /// Text of a *windowed* spacetime-stamp map: time distance measured as
-    /// the difference of the stamps' mixed-radix ordinals (the cycle
-    /// number in a rectangular schedule), constrained to
-    /// `lo <= ord(t') - ord(t) <= hi`.
-    ///
-    /// The window is expanded into the explicit set of constant delta
-    /// vectors whose ordinal lies in the range: every disjunct is then a
-    /// pure translation (`t' = t + Δ`), which keeps downstream projections
-    /// on the cheap unit-coefficient path. (A single ordinal inequality
-    /// with mixed-radix weights is equivalent but forces the projector
-    /// into range splits.)
-    fn windowed_map_text(
-        &self,
-        offsets: &[Vec<i64>],
-        lo: i64,
-        hi: i64,
-        extents: &[i64],
-    ) -> Result<String> {
-        let ns = self.df.n_space();
-        let nt = self.df.n_time();
-        let in_dims: Vec<String> = (0..ns)
-            .map(|i| format!("p{i}"))
-            .chain((0..nt).map(|i| format!("t{i}")))
-            .collect();
-        let deltas = window_deltas(extents, lo, hi, 2000)?;
-        let shift = |base: &str, i: usize, v: i64| -> String {
-            match v {
-                0 => format!("{base}{i}"),
-                v if v > 0 => format!("{base}{i} + {v}"),
-                v => format!("{base}{i} - {}", -v),
-            }
-        };
-        let mut disjuncts = Vec::new();
-        for off in offsets {
-            for delta in &deltas {
-                let mut out_exprs: Vec<String> = Vec::new();
-                for (i, o) in off.iter().enumerate() {
-                    out_exprs.push(shift("p", i, *o));
-                }
-                for (i, d) in delta.iter().enumerate() {
-                    out_exprs.push(shift("t", i, *d));
-                }
-                disjuncts.push(format!(
-                    "ST[{}] -> ST[{}]",
-                    in_dims.join(", "),
-                    out_exprs.join(", ")
-                ));
-            }
+    /// The single time-stamp delta that advances only the innermost time
+    /// dimension, by `dt`.
+    fn innermost_delta(&self, dt: i64) -> Vec<Vec<i64>> {
+        let mut delta = vec![0i64; self.df.n_time()];
+        if let Some(last) = delta.last_mut() {
+            *last = dt;
         }
-        Ok(format!("{{ {} }}", disjuncts.join("; ")))
+        vec![delta]
     }
 
     /// The extents of the time-stamp dimensions (for ordinal windows).
@@ -261,12 +209,12 @@ impl<'a> Analysis<'a> {
         }
         let offsets = self.arch.interconnect.offsets(self.df.n_space())?;
         let dt = self.arch.interconnect.time_delta();
-        let m = if dt == 0 || self.df.n_time() == 1 {
-            Map::parse(&self.spacetime_map_text(&offsets, dt))?
+        let time_deltas = if dt == 0 || self.df.n_time() == 1 {
+            self.innermost_delta(dt)
         } else {
-            let extents = self.time_extents()?;
-            Map::parse(&self.windowed_map_text(&offsets, dt, dt, &extents)?)?
+            window_deltas(&self.time_extents()?, dt, dt, WINDOW_DELTA_CAP)?
         };
+        let m = self.spacetime_map(&offsets, &time_deltas)?;
         Ok(self.smap.get_or_init(|| m).clone())
     }
 
@@ -278,13 +226,13 @@ impl<'a> Analysis<'a> {
         }
         let zero = vec![vec![0i64; self.df.n_space()]];
         let w = self.options.reuse_window.max(1) as i64;
-        let m = if self.df.n_time() == 1 && w == 1 {
+        let time_deltas = if self.df.n_time() == 1 && w == 1 {
             // Single time dim, unit window: a plain offset map.
-            Map::parse(&self.spacetime_map_text(&zero, 1))?
+            self.innermost_delta(1)
         } else {
-            let extents = self.time_extents()?;
-            Map::parse(&self.windowed_map_text(&zero, 1, w, &extents)?)?
+            window_deltas(&self.time_extents()?, 1, w, WINDOW_DELTA_CAP)?
         };
+        let m = self.spacetime_map(&zero, &time_deltas)?;
         Ok(self.tmap.get_or_init(|| m).clone())
     }
 
@@ -346,14 +294,10 @@ impl<'a> Analysis<'a> {
         // dropping the zero vector afterwards.
         let share = adf.apply_range(&adf.reverse())?;
         let deltas = share.deltas()?;
-        let zero_text = format!(
-            "{{ [{}] }}",
-            (0..self.df.n_space() + self.df.n_time())
-                .map(|_| "0".to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let zero = tenet_isl::Set::parse(&zero_text)?;
+        let zero = (0..deltas.n_dim())
+            .fold(tenet_isl::Set::universe(deltas.tuple().clone()), |s, d| {
+                s.fix(d, 0)
+            });
         Ok(deltas.subtract(&zero)?)
     }
 
@@ -593,6 +537,9 @@ impl<'a> Analysis<'a> {
         })
     }
 }
+
+/// Most stamp deltas one reuse window may expand into.
+const WINDOW_DELTA_CAP: usize = 2000;
 
 /// Enumerates the constant time-stamp delta vectors whose mixed-radix
 /// ordinal difference lies in `[lo, hi]`, given the per-dimension extents.
@@ -941,6 +888,92 @@ mod tests {
         // DRAM: footprints (8 + 8 + 4) at cost 200.
         assert_eq!(e.dram, 4000.0);
         assert_eq!(e.total(), 16.0 + 48.0 + 32.0 + 120.0 + 4000.0);
+    }
+
+    /// Asserts that `m` is the relation `text` written in the notation.
+    fn assert_map_is(m: &Map, text: &str) {
+        let expect = Map::parse(text).unwrap();
+        assert!(m.is_equal(&expect).unwrap(), "{m} is not {text}");
+    }
+
+    /// The structurally built spacetime maps are the Figure 3 relations of
+    /// the notation, on every interconnect.
+    #[test]
+    fn figure3_spacetime_maps_match_notation() {
+        let (op, df, _) = figure3();
+        let temporal = "{ ST[p0, p1, t0] -> ST[p0, p1, t0 + 1] }";
+        let cases = [
+            (
+                Interconnect::Systolic2D,
+                "{ ST[p0, p1, t0] -> ST[p0, p1 + 1, t0 + 1]; \
+                   ST[p0, p1, t0] -> ST[p0 + 1, p1, t0 + 1] }",
+            ),
+            (
+                Interconnect::Mesh,
+                "{ ST[p0, p1, t0] -> ST[p0 - 1, p1 - 1, t0 + 1]; \
+                   ST[p0, p1, t0] -> ST[p0, p1 - 1, t0 + 1]; \
+                   ST[p0, p1, t0] -> ST[p0 + 1, p1 - 1, t0 + 1]; \
+                   ST[p0, p1, t0] -> ST[p0 - 1, p1, t0 + 1]; \
+                   ST[p0, p1, t0] -> ST[p0 + 1, p1, t0 + 1]; \
+                   ST[p0, p1, t0] -> ST[p0 - 1, p1 + 1, t0 + 1]; \
+                   ST[p0, p1, t0] -> ST[p0, p1 + 1, t0 + 1]; \
+                   ST[p0, p1, t0] -> ST[p0 + 1, p1 + 1, t0 + 1] }",
+            ),
+            (
+                Interconnect::Multicast { radius: 2 },
+                "{ ST[p0, p1, t0] -> ST[p0, p1 + 1, t0]; \
+                   ST[p0, p1, t0] -> ST[p0, p1 + 2, t0] }",
+            ),
+        ];
+        for (ic, spatial) in cases {
+            let arch = ArchSpec::new("2x2", [2, 2], ic, 4.0);
+            let a = Analysis::new(&op, &df, &arch).unwrap();
+            assert_map_is(&a.spatial_map().unwrap(), spatial);
+            assert_map_is(&a.temporal_map().unwrap(), temporal);
+        }
+    }
+
+    /// A 2-D time-stamp `[j, k]` with extents 3 × 4 (ordinal `4j + k`):
+    /// "one cycle later" includes the rollover `(+1, -3)`, and a reuse
+    /// window of 3 covers every delta of ordinal 1 to 3.
+    #[test]
+    fn windowed_spacetime_maps_match_notation() {
+        let op = TensorOp::builder("gemm")
+            .dim("i", 2)
+            .dim("j", 3)
+            .dim("k", 4)
+            .read("A", ["i", "k"])
+            .read("B", ["k", "j"])
+            .write("Y", ["i", "j"])
+            .build()
+            .unwrap();
+        let df = Dataflow::new(["i"], ["j", "k"]);
+        let arch = ArchSpec::new("1d", [2], Interconnect::Systolic1D, 2.0);
+        let narrow = Analysis::new(&op, &df, &arch).unwrap();
+        assert_map_is(
+            &narrow.spatial_map().unwrap(),
+            "{ ST[p0, t0, t1] -> ST[p0 + 1, t0, t1 + 1]; \
+               ST[p0, t0, t1] -> ST[p0 + 1, t0 + 1, t1 - 3] }",
+        );
+        assert_map_is(
+            &narrow.temporal_map().unwrap(),
+            "{ ST[p0, t0, t1] -> ST[p0, t0, t1 + 1]; \
+               ST[p0, t0, t1] -> ST[p0, t0 + 1, t1 - 3] }",
+        );
+        let opts = AnalysisOptions {
+            reuse_window: 3,
+            ..Default::default()
+        };
+        let wide = Analysis::with_options(&op, &df, &arch, opts).unwrap();
+        assert_map_is(
+            &wide.temporal_map().unwrap(),
+            "{ ST[p0, t0, t1] -> ST[p0, t0, t1 + 1]; \
+               ST[p0, t0, t1] -> ST[p0, t0, t1 + 2]; \
+               ST[p0, t0, t1] -> ST[p0, t0, t1 + 3]; \
+               ST[p0, t0, t1] -> ST[p0, t0 + 1, t1 - 3]; \
+               ST[p0, t0, t1] -> ST[p0, t0 + 1, t1 - 2]; \
+               ST[p0, t0, t1] -> ST[p0, t0 + 1, t1 - 1] }",
+        );
     }
 
     /// Multicast reuse happens in the same cycle (time interval 0).

@@ -635,6 +635,37 @@ impl BasicMap {
         }
         Ok(bm)
     }
+
+    /// The shift `δ` when this basic map is a pure translation
+    /// `{ x -> x + δ }`: equal arities, no divs, no inequalities, and
+    /// exactly one equality `±(in_i - out_i) + c = 0` per dimension.
+    /// `None` for every other shape.
+    pub(crate) fn translation(&self) -> Option<Vec<i128>> {
+        let n = self.n_in();
+        let shape_fits = n == self.n_out() && self.eqs.len() == n;
+        if !shape_fits || !self.divs.is_empty() || !self.ineqs.is_empty() {
+            return None;
+        }
+        let k = self.konst();
+        let mut delta: Vec<Option<i128>> = vec![None; n];
+        for r in &self.eqs {
+            let i = r[..n].iter().position(|&c| c != 0)?;
+            let s = r[i];
+            if !(s == 1 || s == -1) || r[n + i] != -s || delta[i].is_some() {
+                return None;
+            }
+            let other_terms = r[..k]
+                .iter()
+                .enumerate()
+                .any(|(j, &c)| c != 0 && j != i && j != n + i);
+            if other_terms {
+                return None;
+            }
+            // s·(in_i - out_i) + c = 0  ⇔  out_i = in_i + s·c.
+            delta[i] = Some(s as i128 * r[k] as i128);
+        }
+        delta.into_iter().collect()
+    }
 }
 
 #[cfg(test)]

@@ -104,8 +104,8 @@ struct Tables {
     /// (`Map::parse` vs `Set::parse` — each accepts texts the other
     /// rejects, so a hit must never cross them; separate tables also allow
     /// allocation-free borrowed lookups). Parsing is deterministic, and
-    /// the generated relation texts of the analysis layer (spacetime
-    /// maps, windows) recur verbatim.
+    /// the generated relation texts of the analysis layer (dataflows,
+    /// access maps) recur verbatim.
     parsed_map: HashMap<String, Arc<Map>>,
     parsed_set: HashMap<String, Arc<Map>>,
     /// Bumped whenever the tables are cleared. Stores capture the
@@ -1091,6 +1091,38 @@ mod tests {
         assert_eq!(report.parsed, 1);
         assert_eq!(report.skipped, 2, "bad text + unknown op: {report:?}");
         assert_eq!(report.memo, 0);
+    }
+
+    /// Parsing an N-disjunct text collects the disjuncts in one pass: no
+    /// partial union goes through the memo, so the relations interned for
+    /// a parse do not grow with N. Counted as memo lookups on a handle
+    /// attached to this thread (every interned relation is an operand of
+    /// such a lookup); the process-wide `stats().interned` also moves with
+    /// tests running in parallel.
+    #[test]
+    fn parse_does_not_intern_partial_unions() {
+        let _guard = test_lock();
+        set_enabled(true);
+        let text = |n: i64| {
+            let disjuncts: Vec<String> = (0..n)
+                .map(|d| format!("ST[p, q, t] -> ST[p + {}, q - {}, t + 1]", d % 8, d / 8))
+                .collect();
+            format!("{{ {} }}", disjuncts.join("; "))
+        };
+        for n in [1, 8, 64] {
+            clear();
+            let handle = CounterHandle::new();
+            let m = {
+                let _attached = handle.attach();
+                Map::parse(&text(n)).unwrap()
+            };
+            assert_eq!(m.basics().len(), n as usize);
+            assert_eq!(
+                (handle.hits(), handle.misses()),
+                (0, 1),
+                "{n} disjuncts: only the parse itself may reach the memo"
+            );
+        }
     }
 
     #[test]

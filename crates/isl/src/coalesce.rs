@@ -185,8 +185,8 @@ fn try_merge(x: &BasicMap, y: &BasicMap, ex: &Expanded, ey: &Expanded) -> Option
 /// (sorted + deduplicated) every pair's rows from scratch after every
 /// single merge, which dominated cold `apply_range` time on case-split
 /// unions.
-pub(crate) fn coalesce_map(map: &Map) -> Map {
-    let mut basics = map.basics.clone();
+pub(crate) fn coalesce_map(map: Map) -> Map {
+    let Map { space, mut basics } = map;
     let mut exp: Vec<Expanded> = basics.iter().map(expand).collect();
     let mut changed = true;
     let mut guard = 0;
@@ -214,10 +214,7 @@ pub(crate) fn coalesce_map(map: &Map) -> Map {
             i += 1;
         }
     }
-    Map {
-        space: map.space.clone(),
-        basics,
-    }
+    Map { space, basics }
 }
 
 #[cfg(test)]

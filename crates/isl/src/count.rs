@@ -260,11 +260,15 @@ impl Tableau {
     /// Uses `eq` (with `eq[col] == ±1`) to substitute `col` out of every
     /// row, then removes the column. Exact for inequalities because the
     /// scale factor is one.
-    fn substitute_unit(&mut self, eq: &Row, col: usize) {
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Overflow`] when a substituted coefficient leaves `i64`.
+    fn substitute_unit(&mut self, eq: &Row, col: usize) -> Result<()> {
         let mut eq = eq.clone();
         if eq[col] < 0 {
             for c in eq.iter_mut() {
-                *c = -*c;
+                *c = c.checked_neg().ok_or(Error::Overflow)?;
             }
         }
         debug_assert_eq!(eq[col], 1);
@@ -272,11 +276,15 @@ impl Tableau {
             let c = r[col];
             if c != 0 {
                 for (ri, ei) in r.iter_mut().zip(eq.iter()) {
-                    *ri -= c * ei;
+                    *ri = c
+                        .checked_mul(*ei)
+                        .and_then(|t| ri.checked_sub(t))
+                        .ok_or(Error::Overflow)?;
                 }
             }
         }
         self.remove_col(col);
+        Ok(())
     }
 
     /// Removes all equalities via the Omega-test reduction.
@@ -309,7 +317,7 @@ impl Tableau {
             }
             // Unit coefficient: direct substitution.
             if let Some(col) = (0..k).find(|&i| eq[i].abs() == 1) {
-                self.substitute_unit(&eq, col);
+                self.substitute_unit(&eq, col)?;
                 continue;
             }
             // Pugh reduction: introduce sigma with m = |a_min| + 1.

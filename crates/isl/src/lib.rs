@@ -47,7 +47,7 @@
 //!
 //! # Performance layer
 //!
-//! Three mechanisms make the substrate fast without giving up exactness:
+//! Four mechanisms make the substrate fast without giving up exactness:
 //!
 //! * **Inline constraint rows, shared spaces.** Rows are a small-vector
 //!   type (`row::Row`) storing up to 16 coefficients inline: TENET
@@ -81,6 +81,15 @@
 //!   these families fall back to the original exact recursive enumerator;
 //!   nothing is approximated. [`fast_path_stats`] exposes dispatch
 //!   counters so CI can assert the shortcuts are actually taken.
+//!
+//! * **Composition by substitution.** TENET's spacetime-stamp maps are
+//!   unions of pure translations `ST[x] -> ST[x + δ]` (built directly by
+//!   [`Map::translations`], never as text). [`Map::apply_range`] detects a
+//!   left operand of that shape and composes by shifting the constants of
+//!   the right operand's rows by `Σ coef_i·δ_i` — no pairwise product and
+//!   no projection ladder — with checked arithmetic that reports
+//!   [`Error::Overflow`] instead of wrapping. Every other composition
+//!   takes the general elimination path.
 
 #![warn(missing_docs)]
 

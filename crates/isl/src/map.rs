@@ -68,6 +68,58 @@ impl Map {
         Ok(Map::from_basic(BasicMap::identity(input, output)?))
     }
 
+    /// The union of translations `{ T[x] -> T[x + δ] }`, one disjunct per
+    /// vector of `deltas` in order (repeats are dropped): the shape of
+    /// TENET's spacetime-stamp maps (Definition 4). Output dims are named
+    /// `_o0`, `_o1`, … as the parser names computed output entries, so the
+    /// result equals what [`Map::parse`] builds from the same relation
+    /// written as text. An empty `deltas` gives the empty relation.
+    ///
+    /// ```
+    /// use tenet_isl::{Map, Tuple};
+    /// let m = Map::translations(Tuple::new("ST", ["p", "t"]), &[vec![1, 1], vec![0, 1]])?;
+    /// assert!(m.is_equal(&Map::parse("{ ST[p, t] -> ST[p + 1, t + 1]; ST[p, t] -> ST[p, t + 1] }")?)?);
+    /// # Ok::<(), tenet_isl::Error>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SpaceMismatch`] when a vector's length differs from the
+    /// tuple's arity.
+    pub fn translations(tuple: Tuple, deltas: &[Vec<i64>]) -> Result<Map> {
+        let n = tuple.len();
+        let output = Tuple {
+            name: tuple.name.clone(),
+            dims: (0..n).map(|i| format!("_o{i}")).collect(),
+        };
+        let space = Arc::new(Space::map(tuple, output));
+        let mut basics: Vec<BasicMap> = Vec::with_capacity(deltas.len());
+        let mut seen = std::collections::HashSet::with_capacity(deltas.len());
+        for delta in deltas {
+            if delta.len() != n {
+                return Err(Error::SpaceMismatch(format!(
+                    "translation by {} components in a {n}-dimensional space",
+                    delta.len()
+                )));
+            }
+            if !seen.insert(delta) {
+                continue;
+            }
+            let mut bm = BasicMap::universe(space.clone());
+            for (i, &d) in delta.iter().enumerate() {
+                // in_i - out_i + δ_i = 0, the parser's normal form.
+                let mut row = bm.zero_row();
+                row[i] = 1;
+                row[n + i] = -1;
+                row[2 * n] = d;
+                bm.add_eq(row);
+            }
+            bm.simplify();
+            basics.push(bm);
+        }
+        Ok(Map { space, basics })
+    }
+
     /// The space of the relation.
     pub fn space(&self) -> &Space {
         &self.space
@@ -220,6 +272,33 @@ impl Map {
     }
 
     fn apply_range_uncached(&self, other: &Map) -> Result<Map> {
+        let shifts: Option<Vec<Vec<i128>>> =
+            self.basics.iter().map(BasicMap::translation).collect();
+        let mut basics = match shifts {
+            Some(shifts) => compose_translations(&shifts, other)?,
+            None => self.compose_by_elimination(other)?,
+        };
+        let result_space = Arc::new(Space::map(
+            self.space.input.clone(),
+            other.space.output.clone(),
+        ));
+        for b in basics.iter_mut() {
+            b.space = result_space.clone();
+        }
+        basics.dedup();
+        // Compositions through case splits and offset unions produce many
+        // adjacent disjuncts; merge them so downstream set algebra stays
+        // close to linear. The uncoalesced union is not interned: the
+        // `ApplyRange` memo entry already serves repeats.
+        Ok(crate::coalesce::coalesce_map(Map {
+            space: result_space,
+            basics,
+        }))
+    }
+
+    /// The general composition: every pairwise product of disjuncts, with
+    /// the middle tuple projected out by the [`eliminate_vars`] ladder.
+    fn compose_by_elimination(&self, other: &Map) -> Result<Vec<BasicMap>> {
         let nx = self.n_in();
         let ny = self.n_out();
         let nz = other.n_out();
@@ -247,22 +326,7 @@ impl Map {
                 basics.extend(eliminate_vars(comb, targets)?);
             }
         }
-        let result_space = Arc::new(Space::map(
-            self.space.input.clone(),
-            other.space.output.clone(),
-        ));
-        let mut m = Map {
-            space: result_space.clone(),
-            basics,
-        };
-        for b in m.basics.iter_mut() {
-            b.space = result_space.clone();
-        }
-        m.basics.dedup();
-        // Compositions through case splits and offset unions produce many
-        // adjacent disjuncts; merge them so downstream set algebra stays
-        // close to linear.
-        Ok(m.coalesce())
+        Ok(basics)
     }
 
     /// Packs the project-op memo key: bit 0 distinguishes the in/out
@@ -559,7 +623,7 @@ impl Map {
             return self.clone();
         }
         cache::memo_map(OpKind::Coalesce, self, None, 0, || {
-            Ok(crate::coalesce::coalesce_map(self))
+            Ok(crate::coalesce::coalesce_map(self.clone()))
         })
         .expect("coalesce cannot fail")
     }
@@ -698,6 +762,47 @@ impl Map {
     }
 }
 
+/// Composition through a union of translations `{ y -> y + δ }` by
+/// substitution: each disjunct of `other` is copied with its input
+/// columns unchanged and `Σ coef_i·δ_i` added to the constant of every
+/// equality, inequality and div numerator — no pairwise product, no
+/// elimination. Disjuncts left syntactically infeasible are dropped.
+///
+/// # Errors
+///
+/// [`Error::Overflow`] when a shifted constant leaves the `i64` range.
+fn compose_translations(shifts: &[Vec<i128>], other: &Map) -> Result<Vec<BasicMap>> {
+    let shift_row = |row: &mut Row, delta: &[i128]| -> Result<()> {
+        let k = row.len() - 1;
+        let mut c = row[k] as i128;
+        for (&a, &d) in row[..delta.len()].iter().zip(delta) {
+            c = (a as i128)
+                .checked_mul(d)
+                .and_then(|t| c.checked_add(t))
+                .ok_or(Error::Overflow)?;
+        }
+        row[k] = i64::try_from(c).map_err(|_| Error::Overflow)?;
+        Ok(())
+    };
+    let mut basics = Vec::with_capacity(shifts.len() * other.basics.len());
+    for delta in shifts {
+        for b in &other.basics {
+            let mut nb = b.clone();
+            for r in nb.eqs.iter_mut().chain(nb.ineqs.iter_mut()) {
+                shift_row(r, delta)?;
+            }
+            for d in nb.divs.iter_mut() {
+                shift_row(&mut d.num, delta)?;
+            }
+            if nb.simplify() {
+                nb.drop_unused_divs();
+                basics.push(nb);
+            }
+        }
+    }
+    Ok(basics)
+}
+
 /// Exact difference of two basic maps as a disjoint union of basic maps.
 pub(crate) fn basic_subtract(p: &BasicMap, c: &BasicMap) -> Result<Vec<BasicMap>> {
     debug_assert_eq!(p.div0(), c.div0());
@@ -714,6 +819,15 @@ pub(crate) fn basic_subtract(p: &BasicMap, c: &BasicMap) -> Result<Vec<BasicMap>
         let neg: Row = row.iter().map(|v| -v).collect();
         cons.push(row);
         cons.push(neg);
+    }
+    // Disjoint operands (the common case across a union of translated
+    // copies): one emptiness test instead of one per cut.
+    let mut meet = base.clone();
+    for t in &cons {
+        meet.add_ineq(t.clone());
+    }
+    if !meet.simplify() || count::basic_is_empty(&meet)? {
+        return Ok(vec![p.clone()]);
     }
     // Progressive cut: piece_i = base ∧ c_0 ∧ ... ∧ c_{i-1} ∧ ¬c_i.
     let mut pieces = Vec::new();
@@ -799,5 +913,40 @@ mod tests {
         assert_eq!(m.card().unwrap(), 32);
         let rng = m.range().unwrap();
         assert_eq!(rng.card().unwrap(), 4);
+    }
+
+    #[test]
+    fn translations_equal_the_parsed_text() {
+        let t = Map::translations(
+            Tuple::new("ST", ["p", "t"]),
+            &[vec![1, 1], vec![0, -2], vec![1, 1]],
+        )
+        .unwrap();
+        let parsed =
+            Map::parse("{ ST[p, t] -> ST[p + 1, t + 1]; ST[p, t] -> ST[p, t - 2] }").unwrap();
+        assert_eq!(t, parsed, "structurally identical, repeat dropped");
+        assert!(Map::translations(Tuple::new("ST", ["p", "t"]), &[vec![1]]).is_err());
+        let empty = Map::translations(Tuple::new("ST", ["p"]), &[]).unwrap();
+        assert!(empty.basics().is_empty());
+    }
+
+    #[test]
+    fn translation_composition_matches_the_ladder() {
+        let shift = Map::parse("{ A[i, j] -> A[i + 1, j - 2]; A[i, j] -> A[i, j + 3] }").unwrap();
+        assert!(shift.basics().iter().all(|b| b.translation().is_some()));
+        let rel = Map::parse(
+            "{ A[i, j] -> B[floor((i + 2 j)/3), j mod 2] : 0 <= i < 5 and 0 <= j < 4 \
+             and (i + j) mod 3 <= 1 }",
+        )
+        .unwrap();
+        let fast = shift.apply_range(&rel).unwrap();
+        // An inequality that holds wherever `rel` does takes the ladder.
+        let capped = shift
+            .intersect_range(&Set::parse("{ [i, j] : i <= 4 }").unwrap())
+            .unwrap();
+        assert!(capped.basics().iter().all(|b| b.translation().is_none()));
+        let general = capped.apply_range(&rel).unwrap();
+        assert!(fast.is_equal(&general).unwrap());
+        assert_eq!(fast.card().unwrap(), general.card().unwrap());
     }
 }

@@ -16,7 +16,7 @@ use crate::map::Map;
 use crate::set::Set;
 use crate::space::{Space, Tuple};
 use crate::{Error, Result};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 // ---------------------------------------------------------------- lexer --
 
@@ -702,37 +702,44 @@ fn build_disjunct(d: &DisjunctAst, is_map: bool) -> Result<(std::sync::Arc<Space
     Ok((space, basics))
 }
 
+/// Folds the disjuncts into one relation in a single pass. The result is
+/// the left fold of [`Map::union`]: the first disjunct's space wins, and a
+/// later disjunct's basic map is renormalized into it and skipped when it
+/// repeats one already collected. Unlike the fold, the duplicate scan is a
+/// hash lookup, and no partial union passes through the memo.
+fn union_disjuncts(disjuncts: &[DisjunctAst], is_map: bool) -> Result<Map> {
+    let (first, rest) = disjuncts
+        .split_first()
+        .ok_or_else(|| Error::Parse("empty relation".into()))?;
+    let (space, mut basics) = build_disjunct(first, is_map)?;
+    let mut seen: HashSet<BasicMap> = basics.iter().cloned().collect();
+    let var_map: Vec<usize> = (0..space.n_in() + space.n_out()).collect();
+    for d in rest {
+        let (d_space, d_basics) = build_disjunct(d, is_map)?;
+        if !space.is_compatible(&d_space) {
+            return Err(Error::SpaceMismatch(format!("union: {space} vs {d_space}")));
+        }
+        for b in &d_basics {
+            let mut nb = BasicMap::universe(space.clone());
+            nb.import_constraints(b, &var_map)?;
+            if seen.insert(nb.clone()) {
+                basics.push(nb);
+            }
+        }
+    }
+    Ok(Map { space, basics })
+}
+
 pub(crate) fn parse_map(text: &str) -> Result<Map> {
     let toks = lex(text)?;
     let mut p = Parser { toks, pos: 0 };
-    let disjuncts = p.parse_relation()?;
-    let mut result: Option<Map> = None;
-    for d in &disjuncts {
-        let (space, basics) = build_disjunct(d, true)?;
-        let m = Map { space, basics };
-        result = Some(match result {
-            None => m,
-            Some(acc) => acc.union(&m)?,
-        });
-    }
-    result.ok_or_else(|| Error::Parse("empty relation".into()))
+    union_disjuncts(&p.parse_relation()?, true)
 }
 
 pub(crate) fn parse_set(text: &str) -> Result<Set> {
     let toks = lex(text)?;
     let mut p = Parser { toks, pos: 0 };
-    let disjuncts = p.parse_relation()?;
-    let mut result: Option<Map> = None;
-    for d in &disjuncts {
-        let (space, basics) = build_disjunct(d, false)?;
-        let m = Map { space, basics };
-        result = Some(match result {
-            None => m,
-            Some(acc) => acc.union(&m)?,
-        });
-    }
-    let m = result.ok_or_else(|| Error::Parse("empty set".into()))?;
-    Set::try_from_map(m)
+    Set::try_from_map(union_disjuncts(&p.parse_relation()?, false)?)
 }
 
 #[cfg(test)]

@@ -29,6 +29,11 @@
 //! Ordering matters: expansion is deliberately *late* — expanding eagerly
 //! can ping-pong between mod and div structures forever, whereas splitting
 //! a small-range variable always terminates.
+//!
+//! Compositions through a union of pure translations (TENET's
+//! spacetime-stamp maps, `M⁻¹ ∘ A_{D,F}`) bypass this ladder:
+//! [`Map::apply_range`](crate::Map::apply_range) substitutes `y = x + δ`
+//! into the right operand's rows directly.
 
 use crate::basic::{BasicMap, Row};
 use crate::count::var_range;

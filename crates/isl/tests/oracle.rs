@@ -10,8 +10,9 @@
 
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
-use tenet_isl::{cache, CountStats, CounterHandle, Map, Set};
+use tenet_isl::{cache, CountStats, CounterHandle, Map, Set, Tuple};
 
 /// Brute-force point count over the bounding box `[lo, hi]^d`, using only
 /// `contains_point`.
@@ -313,8 +314,11 @@ fn wide_multi_direction_shapes_stay_exact() {
 // generated over 1–5 dimensions with the bounding window shrunk as the
 // dimension grows (the brute-force oracle scans the full window). Every
 // case checks `card` against `count_by_points` cold (cache off) and warm
-// (second run against populated tables). `TENET_ORACLE_DEEP=1` grows the
-// corpus from 64 to 500 cases per class (the CI oracle-deep job).
+// (second run against populated tables). A sixth class,
+// translation-compose, checks `apply_range` through unions of
+// translations (see `corpus_translation_compose`). `TENET_ORACLE_DEEP=1`
+// grows the corpus from 64 to 500 cases per class (the CI oracle-deep
+// job).
 // ---------------------------------------------------------------------------
 
 /// splitmix64: tiny, seedable, and identical on every platform.
@@ -553,6 +557,291 @@ fn corpus_coupled_slab() {
 #[test]
 fn corpus_pair_chain() {
     run_corpus("pair-chain", 2, gen_chain_case);
+}
+
+// ---------------------------------------------------------------------------
+// Composition through translation unions. `apply_range` composes a union of
+// pure translations `{ y -> y + δ }` by substitution instead of the
+// elimination ladder; this class checks the substituted composition
+// against an enumeration that evaluates the generating parameters directly
+// (no relation operation is involved), and against the ladder, forced by
+// one vacuous inequality on the same translations. One case in 16 carries
+// an i64-edge shift: its count must be exact or `Error::Overflow`, never
+// wrapped.
+// ---------------------------------------------------------------------------
+
+/// A `gen_window_case`-style relation `Y[y..] -> Z[..]`: a box on `y` cut
+/// by mod windows, with outputs defined by floor and mod of affine forms.
+/// The parameters are kept beside the text so the oracle can evaluate the
+/// relation without the library.
+struct DivRelation {
+    bounds: Vec<(i64, i64)>,
+    /// `(coefs, m, r)`: `(coefs · y) mod m <= r`.
+    windows: Vec<(Vec<i64>, i64, i64)>,
+    /// `(coefs, m, is_mod)`: the output `floor((coefs · y) / m)` or
+    /// `(coefs · y) mod m`.
+    outputs: Vec<(Vec<i64>, i64, bool)>,
+}
+
+fn affine(coefs: &[i64]) -> String {
+    let terms: Vec<String> = coefs
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| **c != 0)
+        .map(|(v, c)| format!("{c}*y{v}"))
+        .collect();
+    terms.join(" + ")
+}
+
+fn dot(coefs: &[i64], y: &[i64]) -> i64 {
+    coefs.iter().zip(y).map(|(c, v)| c * v).sum()
+}
+
+impl DivRelation {
+    fn gen(rng: &mut Rng, n: usize) -> DivRelation {
+        // Box volume stays below ~10^3 at every arity.
+        let max_width = match n {
+            2 => 6,
+            3 => 4,
+            4 => 3,
+            5 | 6 => 2,
+            _ => 1,
+        };
+        let bounds = (0..n)
+            .map(|_| {
+                let lo = rng.range(-3, 3);
+                (lo, lo + rng.range(0, max_width))
+            })
+            .collect();
+        let form = |rng: &mut Rng| -> Vec<i64> {
+            (0..n)
+                .map(|v| {
+                    let c = rng.range(0, 3);
+                    if v == 0 {
+                        c.max(1)
+                    } else {
+                        c
+                    }
+                })
+                .collect()
+        };
+        let windows = (0..1 + rng.below(2))
+            .map(|_| {
+                let m = rng.range(2, 5);
+                (form(rng), m, rng.range(0, m - 1))
+            })
+            .collect();
+        let outputs = (0..1 + rng.below(2))
+            .map(|_| (form(rng), rng.range(2, 4), rng.below(2) == 0))
+            .collect();
+        DivRelation {
+            bounds,
+            windows,
+            outputs,
+        }
+    }
+
+    fn text(&self) -> String {
+        let ys: Vec<String> = (0..self.bounds.len()).map(|v| format!("y{v}")).collect();
+        let zs: Vec<String> = self
+            .outputs
+            .iter()
+            .map(|(c, m, is_mod)| {
+                if *is_mod {
+                    format!("({}) mod {m}", affine(c))
+                } else {
+                    format!("floor(({})/{m})", affine(c))
+                }
+            })
+            .collect();
+        let mut cons: Vec<String> = self
+            .bounds
+            .iter()
+            .enumerate()
+            .map(|(v, (lo, hi))| format!("{lo} <= y{v} <= {hi}"))
+            .collect();
+        for (c, m, r) in &self.windows {
+            cons.push(format!("({}) mod {m} <= {r}", affine(c)));
+        }
+        format!(
+            "{{ Y[{}] -> Z[{}] : {} }}",
+            ys.join(", "),
+            zs.join(", "),
+            cons.join(" and ")
+        )
+    }
+
+    /// Every `(y, z)` pair of the relation.
+    fn pairs(&self) -> Vec<(Vec<i64>, Vec<i64>)> {
+        let n = self.bounds.len();
+        let mut out = Vec::new();
+        let mut y: Vec<i64> = self.bounds.iter().map(|b| b.0).collect();
+        loop {
+            let inside = self
+                .windows
+                .iter()
+                .all(|(c, m, r)| dot(c, &y).rem_euclid(*m) <= *r);
+            if inside {
+                let z = self
+                    .outputs
+                    .iter()
+                    .map(|(c, m, is_mod)| {
+                        if *is_mod {
+                            dot(c, &y).rem_euclid(*m)
+                        } else {
+                            dot(c, &y).div_euclid(*m)
+                        }
+                    })
+                    .collect();
+                out.push((y.clone(), z));
+            }
+            let mut v = 0;
+            loop {
+                if v == n {
+                    return out;
+                }
+                y[v] += 1;
+                if y[v] <= self.bounds[v].1 {
+                    break;
+                }
+                y[v] = self.bounds[v].0;
+                v += 1;
+            }
+        }
+    }
+}
+
+/// `{ (y' - δ, z) : (y', z) ∈ rel, δ ∈ deltas }`, in i128 so extreme
+/// shifts cannot wrap.
+fn composed_oracle(rel: &DivRelation, deltas: &[Vec<i64>]) -> BTreeSet<Vec<i128>> {
+    let mut seen = BTreeSet::new();
+    for (y, z) in rel.pairs() {
+        for d in deltas {
+            let mut p: Vec<i128> = y
+                .iter()
+                .zip(d)
+                .map(|(a, b)| *a as i128 - *b as i128)
+                .collect();
+            p.extend(z.iter().map(|v| *v as i128));
+            seen.insert(p);
+        }
+    }
+    seen
+}
+
+/// The card of the composition `rel ∘ T`, and which oracle points it
+/// misses (so `card == |oracle|` with no miss means equality). `T` is the
+/// union of the translations. With `vacuous = Some(hi)` every translation
+/// also gets the inequality `y'0 <= hi` on its output; `rel` bounds `y0`
+/// by `hi`, so the composition is unchanged, but `T` is no longer a pure
+/// translation and `apply_range` takes the elimination ladder.
+fn compose(
+    deltas: &[Vec<i64>],
+    rel_text: &str,
+    vacuous: Option<i64>,
+    oracle: &BTreeSet<Vec<i128>>,
+) -> tenet_isl::Result<(u128, Vec<Vec<i128>>)> {
+    let n = deltas[0].len();
+    let tuple = Tuple::new("Y", (0..n).map(|v| format!("y{v}")));
+    let mut t = Map::translations(tuple, deltas)?;
+    if let Some(hi) = vacuous {
+        let ys: Vec<String> = (0..n).map(|v| format!("y{v}")).collect();
+        let cap = Set::parse(&format!("{{ [{}] : y0 <= {hi} }}", ys.join(", ")))?;
+        t = t.intersect_range(&cap)?;
+        assert!(
+            t.basics().iter().all(|b| b.constraint_count() > n),
+            "the vacuous inequality must survive"
+        );
+    }
+    let c = t.apply_range(&Map::parse(rel_text)?)?;
+    let card = c.card()?;
+    let mut missed = Vec::new();
+    for p in oracle {
+        let point: Result<Vec<i64>, _> = p.iter().map(|&v| i64::try_from(v)).collect();
+        let inside = match point {
+            Ok(point) => c.contains_point(&point)?,
+            Err(_) => false,
+        };
+        if !inside {
+            missed.push(p.clone());
+        }
+    }
+    Ok((card, missed))
+}
+
+/// Extreme translation components: a composition through them must be
+/// exact or report `Error::Overflow`, never a wrapped count.
+const EDGE_SHIFTS: [i64; 4] = [i64::MAX, i64::MIN + 1, 1 << 62, -(1 << 62)];
+
+#[test]
+fn corpus_translation_compose() {
+    let seed = corpus_seed();
+    let cases = corpus_cases();
+    let mut rng = Rng(seed ^ 0x7A45_C0DE);
+    for case in 0..cases {
+        let n = rng.range(2, 8) as usize;
+        let rel = DivRelation::gen(&mut rng, n);
+        let text = rel.text();
+        // Counts skew small (the union's disjoint decomposition costs
+        // ~k²), and the spread grows with the count, so each translated
+        // copy overlaps only a few others.
+        let k_max = 1 + rng.below(80);
+        let k = 1 + rng.below(k_max) as i64;
+        let spread = 3 + k / 4;
+        let mut deltas: Vec<Vec<i64>> = (0..k)
+            .map(|_| (0..n).map(|_| rng.range(-spread, spread)).collect())
+            .collect();
+        if rng.below(16) == 0 {
+            let which = rng.below(deltas.len() as u64) as usize;
+            let dim = rng.below(n as u64) as usize;
+            deltas[which][dim] = EDGE_SHIFTS[rng.below(4) as usize];
+        }
+        let ctx =
+            format!("[translation-compose seed={seed:#x} case={case}] {deltas:?} then {text}");
+        let oracle = composed_oracle(&rel, &deltas);
+        for vacuous in [None, Some(rel.bounds[0].1)] {
+            let (cold, warm) = with_and_without_cache(|| compose(&deltas, &text, vacuous, &oracle));
+            assert!(
+                cold == warm,
+                "{ctx}: cold and warm differ (vacuous={vacuous:?})"
+            );
+            match cold {
+                Ok((card, missed)) => {
+                    assert_eq!(
+                        card,
+                        oracle.len() as u128,
+                        "{ctx}: card vs oracle (vacuous={vacuous:?})"
+                    );
+                    assert!(
+                        missed.is_empty(),
+                        "{ctx}: oracle points missing (vacuous={vacuous:?}): {missed:?}"
+                    );
+                }
+                Err(tenet_isl::Error::Overflow) => {}
+                // The ladder may decline (it can pick a div-defining
+                // equality before the translation's and split); the
+                // substitution path never may.
+                Err(tenet_isl::Error::TooComplex(_)) if vacuous.is_some() => {}
+                Err(e) => panic!("{ctx}: unexpected error {e} (vacuous={vacuous:?})"),
+            }
+        }
+    }
+}
+
+#[test]
+fn translation_compose_overflow_is_reported() {
+    // y0 + i64::MAX substituted into `2*y0` leaves the i64 range.
+    let text = "{ Y[y0, y1] -> Z[floor((2*y0 + y1)/3)] : 0 <= y0 <= 3 and 0 <= y1 <= 3 }";
+    let deltas = [vec![0, 1], vec![i64::MAX, 0]];
+    let (cold, warm) = with_and_without_cache(|| compose(&deltas, text, None, &BTreeSet::new()));
+    assert!(
+        matches!(cold, Err(tenet_isl::Error::Overflow)),
+        "cold: {cold:?}"
+    );
+    assert!(
+        matches!(warm, Err(tenet_isl::Error::Overflow)),
+        "warm: {warm:?}"
+    );
 }
 
 // ---------------------------------------------------------------------------
