@@ -86,7 +86,10 @@ pub struct TensorMetrics {
 pub struct Utilization {
     /// Average fraction of the PE array active per time-stamp.
     pub average: f64,
-    /// Maximum fraction active in any (probed) time-stamp.
+    /// Maximum fraction of the PE array active in one time-stamp: over
+    /// every stamp when there are at most 1024 of them, otherwise over a
+    /// probe of up to 81 stamps (combinations of each time dimension's
+    /// low, middle and high value), a lower bound of the true maximum.
     pub max: f64,
     /// Whether `max` came from an exhaustive sweep (exact) or probing.
     pub max_is_exact: bool,

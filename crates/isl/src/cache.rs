@@ -116,8 +116,11 @@ struct Tables {
 
 struct Ctx {
     tables: Mutex<Tables>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// The process-wide counters ([`stats`], [`fast_path_stats`]): a root
+    /// handle that every lookup and dispatch bumps. It is never pushed on
+    /// [`ATTACHED`], so the cold-time clock stays off while no scoped
+    /// handle is attached.
+    counters: HandleCounters,
     enabled: AtomicBool,
 }
 
@@ -127,7 +130,7 @@ thread_local! {
     static ATTACHED: RefCell<Vec<CounterHandle>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Exact per-run hit/miss counters, independent of the process-wide
+/// Exact per-run hit/miss counters: a scoped slice of the process-wide
 /// totals.
 ///
 /// A handle only observes lookups made on threads it is [attached] to, so
@@ -157,6 +160,13 @@ struct HandleCounters {
     fast_kinds: [AtomicU64; crate::count::FAST_PATH_KINDS],
 }
 
+impl HandleCounters {
+    fn record(&self, hit: bool) {
+        let ctr = if hit { &self.hits } else { &self.misses };
+        ctr.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 impl CounterHandle {
     /// A fresh handle with zeroed counters.
     pub fn new() -> CounterHandle {
@@ -166,8 +176,8 @@ impl CounterHandle {
     /// Attaches the handle to the current thread until the guard drops.
     ///
     /// Every memo lookup performed on this thread inside the guard's
-    /// lifetime bumps the handle's counters (in addition to the global
-    /// ones and any other attached handles).
+    /// lifetime bumps the handle's counters (in addition to the
+    /// process-wide ones and any other attached handles).
     pub fn attach(&self) -> AttachGuard {
         ATTACHED.with(|a| a.borrow_mut().push(self.clone()));
         AttachGuard {
@@ -204,14 +214,14 @@ impl CounterHandle {
     }
 
     /// Closed-form counting fast-path dispatches taken on attached
-    /// threads (the per-request slice of [`crate::fast_path_stats`]).
+    /// threads (the per-request slice of [`fast_path_stats`]).
     pub fn fast_paths(&self) -> u64 {
         self.fast_path_stats().total()
     }
 
-    /// Per-kind dispatch counts scoped to attached threads — the racing
-    /// process-global [`crate::fast_path_stats`] sliced down to this
-    /// handle, so dispatch assertions stay exact under test parallelism.
+    /// Per-kind dispatch counts scoped to attached threads — the
+    /// process-wide [`fast_path_stats`] sliced down to this handle,
+    /// so dispatch assertions stay exact under test parallelism.
     pub fn fast_path_stats(&self) -> crate::count::CountStats {
         crate::count::CountStats::from_counters(&self.inner.fast_kinds)
     }
@@ -289,9 +299,10 @@ fn timed_compute<T>(compute: impl FnOnce() -> Result<T>) -> Result<T> {
     result
 }
 
-/// Bumps every attached handle's per-kind fast-path counter; called next
-/// to the process-wide counter in the counting layer.
+/// Bumps the process-wide per-kind fast-path counter plus every handle
+/// attached to this thread.
 pub(crate) fn note_fastpath(kind: crate::count::FastPathKind) {
+    ctx().counters.fast_kinds[kind as usize].fetch_add(1, Ordering::Relaxed);
     ATTACHED.with(|a| {
         for h in a.borrow().iter() {
             h.inner.fast_kinds[kind as usize].fetch_add(1, Ordering::Relaxed);
@@ -299,16 +310,24 @@ pub(crate) fn note_fastpath(kind: crate::count::FastPathKind) {
     });
 }
 
-/// Bumps the global counters plus every handle attached to this thread.
+/// Bumps the process-wide counters plus every handle attached to this
+/// thread.
 fn record(c: &Ctx, hit: bool) {
-    let global = if hit { &c.hits } else { &c.misses };
-    global.fetch_add(1, Ordering::Relaxed);
+    c.counters.record(hit);
     ATTACHED.with(|a| {
         for h in a.borrow().iter() {
-            let ctr = if hit { &h.inner.hits } else { &h.inner.misses };
-            ctr.fetch_add(1, Ordering::Relaxed);
+            h.inner.record(hit);
         }
     });
+}
+
+/// Current fast-path dispatch counters (process-wide, monotonic since
+/// process start; the `perfbench` smoke mode uses them to assert the fast
+/// paths are actually taken). Tests needing exact attribution under
+/// `cargo test` parallelism use the scoped view
+/// ([`CounterHandle::fast_path_stats`]) instead.
+pub fn fast_path_stats() -> crate::count::CountStats {
+    crate::count::CountStats::from_counters(&ctx().counters.fast_kinds)
 }
 
 fn ctx() -> &'static Ctx {
@@ -319,8 +338,7 @@ fn ctx() -> &'static Ctx {
             .unwrap_or(false);
         Ctx {
             tables: Mutex::new(Tables::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            counters: HandleCounters::default(),
             enabled: AtomicBool::new(!off),
         }
     })
@@ -351,13 +369,13 @@ impl CacheStats {
     }
 }
 
-/// Current global cache counters.
+/// Current process-wide cache counters.
 pub fn stats() -> CacheStats {
     let c = ctx();
     let t = c.tables.lock().expect("isl cache poisoned");
     CacheStats {
-        hits: c.hits.load(Ordering::Relaxed),
-        misses: c.misses.load(Ordering::Relaxed),
+        hits: c.counters.hits.load(Ordering::Relaxed),
+        misses: c.counters.misses.load(Ordering::Relaxed),
         entries: t.memo.len() as u64,
         interned: t.n_interned as u64,
     }
@@ -374,13 +392,6 @@ pub fn clear() {
     t.parsed_set.clear();
     t.next_id = 0;
     t.generation += 1;
-}
-
-/// Resets the hit/miss counters (entries survive).
-pub fn reset_stats() {
-    let c = ctx();
-    c.hits.store(0, Ordering::Relaxed);
-    c.misses.store(0, Ordering::Relaxed);
 }
 
 /// Globally enables or disables memoization (e.g. for A/B measurements).
@@ -907,17 +918,14 @@ mod tests {
         let m = Map::parse("{ S[i, j] -> PE[i] : 0 <= i < 9 and 0 <= j < 7 }").unwrap();
         set_enabled(true);
         clear();
-        reset_stats();
+        let handle = CounterHandle::new();
+        let _attached = handle.attach();
         let a = m.card().unwrap();
-        let s1 = stats();
+        let hits = handle.hits();
         let b = m.card().unwrap();
-        let s2 = stats();
         assert_eq!(a, b);
         assert_eq!(a, 63);
-        assert!(
-            s2.hits > s1.hits,
-            "second card call must hit: {s1:?} {s2:?}"
-        );
+        assert_eq!(handle.hits(), hits + 1, "second card call must hit");
     }
 
     #[test]
@@ -926,12 +934,18 @@ mod tests {
         let m = Map::parse("{ S[i] -> T[i] : 0 <= i < 5 }").unwrap();
         set_enabled(false);
         clear();
-        reset_stats();
-        let _ = m.card().unwrap();
-        let _ = m.card().unwrap();
-        let s = stats();
-        assert_eq!(s.hits + s.misses, 0, "disabled cache must not count");
+        let handle = CounterHandle::new();
+        {
+            let _attached = handle.attach();
+            let _ = m.card().unwrap();
+            let _ = m.card().unwrap();
+        }
         set_enabled(true);
+        assert_eq!(
+            handle.hits() + handle.misses(),
+            0,
+            "disabled cache must not count"
+        );
     }
 
     #[test]
@@ -968,6 +982,30 @@ mod tests {
         // Detached now: further lookups must not move the handle.
         let _ = m.card().unwrap();
         assert_eq!(handle.hits() + handle.misses(), 10);
+    }
+
+    /// The process-wide view is the root of the same mechanism: it moves
+    /// by at least what any attached handle sees (other threads may add
+    /// more), lookups and dispatches alike.
+    #[test]
+    fn process_counters_cover_every_handle() {
+        let _guard = test_lock();
+        set_enabled(true);
+        clear();
+        let (before, fast_before) = (stats(), fast_path_stats());
+        let handle = CounterHandle::new();
+        {
+            let _attached = handle.attach();
+            let m = Map::parse("{ S[i, j] -> PE[i] : 0 <= i < 13 and 0 <= j <= i }").unwrap();
+            assert_eq!(m.card().unwrap(), 91);
+            assert_eq!(m.card().unwrap(), 91);
+        }
+        let (after, fast_after) = (stats(), fast_path_stats());
+        assert!(handle.hits() >= 1 && handle.misses() >= 1);
+        assert!(handle.fast_paths() >= 1, "a fast path must dispatch");
+        assert!(after.hits - before.hits >= handle.hits());
+        assert!(after.misses - before.misses >= handle.misses());
+        assert!(fast_after.total() - fast_before.total() >= handle.fast_paths());
     }
 
     #[test]
@@ -1012,17 +1050,16 @@ mod tests {
         // Replaying the same source texts and operations must hit: parse
         // is deterministic, so re-parsed operands are structurally
         // identical to the re-interned snapshot operands.
-        reset_stats();
-        let m2 = Map::parse("{ S[i, j] -> PE[i] : 0 <= i < 9 and 0 <= j < 7 }").unwrap();
-        assert_eq!(m2.card().unwrap(), 63);
-        let s2 = crate::Set::parse("{ P[x, y] : 0 <= x < 5 and 0 <= y < 3 }").unwrap();
-        assert!(!s2.as_map().is_empty().unwrap());
-        let st = stats();
-        assert_eq!(
-            st.misses, 0,
-            "replay after restore must be all-warm: {st:?}"
-        );
-        assert_eq!(st.hits, 4, "parse x2 + card + empty: {st:?}");
+        let handle = CounterHandle::new();
+        {
+            let _attached = handle.attach();
+            let m2 = Map::parse("{ S[i, j] -> PE[i] : 0 <= i < 9 and 0 <= j < 7 }").unwrap();
+            assert_eq!(m2.card().unwrap(), 63);
+            let s2 = crate::Set::parse("{ P[x, y] : 0 <= x < 5 and 0 <= y < 3 }").unwrap();
+            assert!(!s2.as_map().is_empty().unwrap());
+        }
+        assert_eq!(handle.misses(), 0, "replay after restore must be all-warm");
+        assert_eq!(handle.hits(), 4, "parse x2 + card + empty");
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! dispatch.
 
 use crate::basic::{BasicMap, Row};
+use crate::cache::note_fastpath;
 use crate::value::{ceil_div, floor_div, gcd, mod_hat};
 use crate::{Error, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,8 +34,8 @@ const ENUM_LIMIT: i64 = 4_000_000;
 const WORK_LIMIT: u64 = 400_000_000;
 
 /// Which closed-form counting shortcut dispatched. The discriminants
-/// index the process-wide counter array below and the per-handle one in
-/// [`crate::cache`].
+/// index the per-kind counter array of every counter handle in
+/// [`crate::cache`], the process-wide root included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum FastPathKind {
@@ -50,21 +51,6 @@ pub enum FastPathKind {
 
 /// Number of [`FastPathKind`] variants (length of the counter arrays).
 pub(crate) const FAST_PATH_KINDS: usize = 4;
-
-/// Process-wide dispatch counters, indexed by [`FastPathKind`]: bumped
-/// each time a shape dispatches to a closed form instead of the
-/// recursive enumerator. Monotonic since process start; used by the
-/// `perfbench` smoke mode to assert the fast paths are actually taken.
-/// Tests needing exact attribution under `cargo test` parallelism use
-/// the scoped view ([`crate::CounterHandle::fast_path_stats`]) instead.
-static FAST: [AtomicU64; FAST_PATH_KINDS] = [const { AtomicU64::new(0) }; FAST_PATH_KINDS];
-
-/// Bumps the process-wide counter for `kind` plus every attached
-/// [`crate::CounterHandle`]'s scoped per-shape counter.
-fn note(kind: FastPathKind) {
-    FAST[kind as usize].fetch_add(1, Ordering::Relaxed);
-    crate::cache::note_fastpath(kind);
-}
 
 /// Point-in-time snapshot of the closed-form dispatch counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -102,20 +88,22 @@ impl CountStats {
         }
     }
 
+    /// The counts by kind label (`window`, `box`, `slab`, `pair_chain`),
+    /// the one list every renderer of these counters reads. The two
+    /// always-0 fields are left out.
+    pub fn by_kind(&self) -> [(&'static str, u64); FAST_PATH_KINDS] {
+        [
+            ("window", self.window_counts),
+            ("box", self.box_counts),
+            ("slab", self.slab_counts),
+            ("pair_chain", self.pair_chain_counts),
+        ]
+    }
+
     /// Sum of all dispatch counters.
     pub fn total(&self) -> u64 {
-        self.window_counts
-            + self.box_counts
-            + self.slab_counts
-            + self.multi_slab_counts
-            + self.pair_chain_counts
-            + self.coupled_slab_counts
+        self.by_kind().iter().map(|&(_, c)| c).sum()
     }
-}
-
-/// Current fast-path dispatch counters (process-wide, monotonic).
-pub fn fast_path_stats() -> CountStats {
-    CountStats::from_counters(&FAST)
 }
 
 /// A free-form constraint system: `n` variables, rows of width `n + 1`
@@ -1002,7 +990,7 @@ fn count_pair_series(t: &Tableau, ranges: &[(Option<i64>, Option<i64>)]) -> Resu
             .and_then(|v| v.checked_add(n))
             .ok_or(Error::Overflow)?;
         debug_assert!(total >= 0, "per-x counts are nonnegative on the region");
-        note(FastPathKind::PairChain);
+        note_fastpath(FastPathKind::PairChain);
         return Ok(Some(total as u128));
     }
     Ok(None)
@@ -1181,7 +1169,7 @@ fn count_pair_chain(
         }
         tables[root] = Vec::new();
         if tree == 0 {
-            note(FastPathKind::PairChain);
+            note_fastpath(FastPathKind::PairChain);
             return Ok(Some(0));
         }
         total = total.checked_mul(tree).ok_or(Error::Overflow)?;
@@ -1199,7 +1187,7 @@ fn count_pair_chain(
             .checked_mul((h as i128 - l as i128 + 1) as u128)
             .ok_or(Error::Overflow)?;
     }
-    note(FastPathKind::PairChain);
+    note_fastpath(FastPathKind::PairChain);
     Ok(Some(total))
 }
 
@@ -1217,7 +1205,7 @@ fn count_fast(t: &Tableau, limit: Option<u128>, work: &mut u64) -> Result<Option
     };
     if wide.is_empty() {
         let c = count_box(&bounds, limit)?;
-        note(FastPathKind::Box);
+        note_fastpath(FastPathKind::Box);
         return Ok(Some(c));
     }
     // Every multi-variable row must bound the same linear expression `e`
@@ -1351,7 +1339,7 @@ fn count_fast(t: &Tableau, limit: Option<u128>, work: &mut u64) -> Result<Option
         // machinery.
         if hs.iter().all(|&(_, _, a)| a.abs() == 1) {
             let factor = count_box(&box_bounds, limit)?;
-            note(FastPathKind::Slab);
+            note_fastpath(FastPathKind::Slab);
             return Ok(Some(factor));
         }
         return Ok(None);
@@ -1387,7 +1375,7 @@ fn count_fast(t: &Tableau, limit: Option<u128>, work: &mut u64) -> Result<Option
     };
     debug_assert!(upper >= lower);
     let inner = upper - lower;
-    note(FastPathKind::Slab);
+    note_fastpath(FastPathKind::Slab);
     Ok(Some(factor.checked_mul(inner).ok_or(Error::Overflow)?))
 }
 
@@ -1415,7 +1403,7 @@ fn count_rec(t: &mut Tableau, limit: Option<u128>, work: &mut u64) -> Result<u12
             return Ok(0);
         }
         if t.n < n_before {
-            note(FastPathKind::Window);
+            note_fastpath(FastPathKind::Window);
         }
         if t.n == 0 {
             return Ok(factor);

@@ -75,12 +75,13 @@
 //!   multiplicative factor, axis-aligned boxes multiply interval widths,
 //!   box ∩ halfspace/slab prisms (skewed time-stamps) reduce to
 //!   Euclidean floor-sums in `O(log)` per closed-form dimension, and
-//!   box ∩ k≥2 independent slab directions (zonotope-like shapes) split
-//!   on a small variable set so every slab but one collapses to interval
-//!   constraints and the last closes with floor-sums. Shapes outside
-//!   these families fall back to the original exact recursive enumerator;
-//!   nothing is approximated. [`fast_path_stats`] exposes dispatch
-//!   counters so CI can assert the shortcuts are actually taken.
+//!   two-variable projections and chains close by a pair series or a
+//!   value-table DP. Shapes outside these families (slabs in two or more
+//!   directions included) fall back to the exact recursive enumerator;
+//!   nothing is approximated. Dispatches are counted by the same
+//!   mechanism as memo lookups: [`fast_path_stats`] reads the
+//!   process-wide root, a [`CounterHandle`] the slice of one run, so CI
+//!   can assert the shortcuts are actually taken.
 //!
 //! * **Composition by substitution.** TENET's spacetime-stamp maps are
 //!   unions of pure translations `ST[x] -> ST[x + δ]` (built directly by
@@ -110,8 +111,8 @@ mod space;
 pub mod value;
 
 pub use basic::{BasicMap, DivDef};
-pub use cache::{AttachGuard, CacheStats, CounterHandle};
-pub use count::{fast_path_stats, CountStats};
+pub use cache::{fast_path_stats, AttachGuard, CacheStats, CounterHandle};
+pub use count::CountStats;
 pub use error::{Error, Result};
 pub use map::Map;
 pub use set::Set;

@@ -218,20 +218,9 @@ impl Map {
     }
 
     fn subtract_uncached(&self, other: &Map) -> Result<Map> {
-        let mut pieces = self.basics.clone();
-        for c in &other.basics {
-            let mut next = Vec::new();
-            for p in &pieces {
-                next.extend(basic_subtract(p, c)?);
-            }
-            pieces = next;
-            if pieces.is_empty() {
-                break;
-            }
-        }
         Ok(Map {
             space: self.space.clone(),
-            basics: pieces,
+            basics: subtract_pieces(self.basics.clone(), &other.basics)?,
         })
     }
 
@@ -541,18 +530,7 @@ impl Map {
         // Disjoint decomposition: b_i minus all earlier disjuncts.
         let mut total: u128 = 0;
         for (i, b) in self.basics.iter().enumerate() {
-            let mut pieces = vec![b.clone()];
-            for prev in &self.basics[..i] {
-                let mut next = Vec::new();
-                for p in &pieces {
-                    next.extend(basic_subtract(p, prev)?);
-                }
-                pieces = next;
-                if pieces.is_empty() {
-                    break;
-                }
-            }
-            for p in pieces {
+            for p in subtract_pieces(vec![b.clone()], &self.basics[..i])? {
                 total = total
                     .checked_add(count::count_basic_owned(p)?)
                     .ok_or(Error::Overflow)?;
@@ -801,6 +779,23 @@ fn compose_translations(shifts: &[Vec<i128>], other: &Map) -> Result<Vec<BasicMa
         }
     }
     Ok(basics)
+}
+
+/// Exact difference `pieces \ ⋃ minus` as a disjoint union of basic maps:
+/// each disjunct of `minus` is cut out of every remaining piece in turn,
+/// stopping early once nothing remains.
+fn subtract_pieces(mut pieces: Vec<BasicMap>, minus: &[BasicMap]) -> Result<Vec<BasicMap>> {
+    for c in minus {
+        let mut next = Vec::new();
+        for p in &pieces {
+            next.extend(basic_subtract(p, c)?);
+        }
+        pieces = next;
+        if pieces.is_empty() {
+            break;
+        }
+    }
+    Ok(pieces)
 }
 
 /// Exact difference of two basic maps as a disjoint union of basic maps.

@@ -286,11 +286,11 @@ impl ServerStats {
                             ("interned", Json::from(global.interned)),
                             (
                                 "fast_paths",
-                                Json::obj([
-                                    ("window", Json::from(fast.window_counts)),
-                                    ("box", Json::from(fast.box_counts)),
-                                    ("slab", Json::from(fast.slab_counts)),
-                                ]),
+                                Json::obj(
+                                    fast.by_kind()
+                                        .into_iter()
+                                        .map(|(kind, n)| (kind, Json::from(n))),
+                                ),
                             ),
                         ]),
                     ),
@@ -483,22 +483,14 @@ pub fn prometheus_from_worker_doc(doc: &Json) -> String {
         p.counter("tenet_process_isl_misses_total", &[], pu("misses"));
         p.gauge("tenet_process_isl_entries", &[], pu("entries") as f64);
         p.gauge("tenet_process_isl_interned", &[], pu("interned") as f64);
-        let fp = |key: &str| {
-            process
-                .get("fast_paths")
-                .and_then(|f| f.get(key))
-                .and_then(Json::as_u64)
-                .unwrap_or(0)
-        };
-        p.counter_vec(
-            "tenet_process_isl_fast_paths_total",
-            "kind",
-            &[
-                ("window", fp("window")),
-                ("box", fp("box")),
-                ("slab", fp("slab")),
-            ],
-        );
+        let kinds: Vec<(&str, u64)> = process
+            .get("fast_paths")
+            .and_then(Json::as_obj)
+            .unwrap_or_default()
+            .iter()
+            .map(|(kind, n)| (kind.as_str(), n.as_u64().unwrap_or(0)))
+            .collect();
+        p.counter_vec("tenet_process_isl_fast_paths_total", "kind", &kinds);
     }
     p.into_string()
 }
@@ -578,6 +570,37 @@ mod tests {
         stripped = stripped.replace("\"process\"", "\"process_elsewhere\"");
         let merged = Json::parse(&stripped).unwrap();
         assert!(!prometheus_from_worker_doc(&merged).contains("tenet_process_"));
+    }
+
+    /// The process section lists every dispatch kind `CountStats` counts:
+    /// its kinds sum to the process-wide total, and `/metrics` renders
+    /// each of them, `pair_chain` included.
+    #[test]
+    fn process_fast_paths_cover_every_kind() {
+        let s = ServerStats::default();
+        let before = tenet_core::fast_path_stats().total();
+        let doc = s.to_json(DedupStats::default(), Duration::from_secs(1), 0);
+        let after = tenet_core::fast_path_stats().total();
+        let kinds = doc
+            .get("isl_cache")
+            .and_then(|c| c.get("process"))
+            .and_then(|p| p.get("fast_paths"))
+            .and_then(Json::as_obj)
+            .unwrap();
+        // Other tests in this binary may dispatch concurrently, so the
+        // snapshot lies between the two reads.
+        let sum: u64 = kinds.iter().map(|(_, n)| n.as_u64().unwrap()).sum();
+        assert!(
+            before <= sum && sum <= after,
+            "{before} <= {sum} <= {after}"
+        );
+        let text = prometheus_from_worker_doc(&doc);
+        for (kind, _) in tenet_core::CountStats::default().by_kind() {
+            assert!(kinds.iter().any(|(k, _)| k == kind), "{kind} missing");
+            let family = format!("tenet_process_isl_fast_paths_total{{kind=\"{kind}\"}}");
+            assert!(text.contains(&family), "{family} missing: {text}");
+        }
+        assert!(text.contains("tenet_process_isl_fast_paths_total{kind=\"pair_chain\"}"));
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Equivalence of the two exact max-utilization computations: the
-//! bucketed single-enumeration path must match the per-stamp fix+card
-//! reference sweep on every workload preset and on the paper's named
-//! architecture examples — and the reported utilization must be identical
-//! with the memo layer on and off.
+//! Equivalence of max utilization with its reference: the memoized
+//! `Set::max_suffix_slice_card` over the activity relation must match a
+//! per-stamp fix+card sweep on every workload preset and on the paper's
+//! named architecture examples — and the reported utilization must be
+//! identical with the memo layer on and off.
 
-use tenet::core::{presets, Analysis, AnalysisOptions, ArchSpec, Dataflow, Interconnect, TensorOp};
-use tenet::isl::cache;
+use tenet::core::{presets, Analysis, ArchSpec, Dataflow, Interconnect, TensorOp};
+use tenet::isl::{cache, Set};
+use tenet::sim::{simulate, SimOptions};
 use tenet::workloads::{dataflows, kernels};
 
 /// Builds an arch that fits the dataflow's space-stamp dimensionality.
@@ -20,27 +21,47 @@ fn arch_for(df: &Dataflow, pe: i64, pe1d: i64, bw: f64) -> ArchSpec {
     }
 }
 
-/// Asserts bucketed == swept for one triple; returns false when the
-/// dataflow does not apply to the kernel (dimension mismatch).
+/// The reference sweep: fix each time-stamp of the activity relation
+/// and count the active PEs separately.
+fn max_active_swept(act: &Set, ns: usize) -> u128 {
+    let stamps = act.project_out(0, ns).unwrap();
+    let mut max_active = 0u128;
+    for stamp in stamps.points(1 << 20).unwrap() {
+        let mut slice = act.clone();
+        for (i, &v) in stamp.iter().enumerate() {
+            slice = slice.fix(ns + i, v);
+        }
+        max_active = max_active.max(slice.card().unwrap());
+    }
+    max_active
+}
+
+/// Asserts `max_suffix_slice_card` == the reference sweep for one triple,
+/// and that an exact reported max agrees with both; returns false when
+/// the dataflow does not apply to the kernel (dimension mismatch).
 fn check(op: &TensorOp, df: &Dataflow, arch: &ArchSpec) -> bool {
-    // Both paths must run to completion on every preset, so lift the
-    // production guards well above any preset's stamp count.
-    let opts = AnalysisOptions {
-        max_util_sweep_limit: 1 << 20,
-        max_util_bucket_points: 1 << 20,
-        ..Default::default()
-    };
-    let a = match Analysis::with_options(op, df, arch, opts) {
+    let a = match Analysis::new(op, df, arch) {
         Ok(a) => a,
         Err(_) => return false,
     };
-    let (bucketed, swept) = a.max_active_both_paths().unwrap();
+    let ns = df.n_space();
+    let act = a.theta().range().unwrap();
+    // Limits well above any preset's size, so both run to completion.
+    let sliced = act.max_suffix_slice_card(ns, 1 << 20).unwrap();
+    let swept = max_active_swept(&act, ns);
     let name = df.name().unwrap_or("<unnamed>");
     assert_eq!(
-        bucketed,
-        Some(swept),
-        "bucketed vs swept max-active diverge for {name}"
+        sliced, swept,
+        "sliced vs swept max-active diverge for {name}"
     );
+    let u = a.utilization().unwrap();
+    if u.max_is_exact {
+        assert_eq!(
+            u.max,
+            swept as f64 / arch.pe_count() as f64,
+            "reported max utilization diverges for {name}"
+        );
+    }
     true
 }
 
@@ -115,4 +136,25 @@ fn utilization_identical_with_cache_on_and_off() {
     let _ = run();
     let warm = run();
     assert_eq!(cold, warm);
+}
+
+/// Above 1024 time-stamps max utilization is probed, not swept: it must
+/// say so, and stay between the exact average and the simulator's
+/// measured peak (a probe can only miss the busiest stamp, never exceed
+/// it).
+#[test]
+fn probed_max_is_bounded_by_the_simulator() {
+    let op = kernels::gemm(4, 4, 1100).unwrap();
+    let df = Dataflow::new(["i", "j"], ["i + j + k"]);
+    let arch = ArchSpec::new("4x4", [4, 4], Interconnect::Systolic2D, 16.0);
+    let u = Analysis::new(&op, &df, &arch)
+        .unwrap()
+        .utilization()
+        .unwrap();
+    let sim = simulate(&op, &df, &arch, &SimOptions::default()).unwrap();
+    assert_eq!(u.time_stamps, sim.compute_cycles as u128);
+    assert!(u.time_stamps > 1024);
+    assert!(!u.max_is_exact, "{u:?}");
+    assert!(u.average <= u.max, "{u:?}");
+    assert!(u.max <= sim.max_utilization(), "{u:?} vs {sim:?}");
 }
