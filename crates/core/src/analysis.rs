@@ -8,7 +8,7 @@ use crate::op::{Role, TensorOp};
 use crate::{Error, Result};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
-use tenet_isl::{Map, Tuple};
+use tenet_isl::{Map, Set, Tuple};
 
 /// Options of the model.
 #[derive(Debug, Clone)]
@@ -58,6 +58,9 @@ pub struct Analysis<'a> {
     arch: &'a ArchSpec,
     options: AnalysisOptions,
     theta: Map,
+    /// The activity relation `range(Θ)` over `ST[p.., t..]`: the used PEs,
+    /// the time-stamps and their extents are its projections.
+    act: Set,
     /// The max-utilization sweep is the one non-relational computation of
     /// the model (a loop over time-stamps); its scalar summary is latched
     /// here. Every *relational* intermediate (assignment, availability,
@@ -104,27 +107,27 @@ impl<'a> Analysis<'a> {
             )));
         }
         let theta = df.theta(op)?;
-        let analysis = Analysis {
+        let act = theta.range()?;
+        let used = act.project_out(df.n_space(), df.n_time())?;
+        if !used.is_subset(&arch.pe_set()?)? {
+            return Err(Error::Invalid(format!(
+                "dataflow `{}` maps instances outside the {:?} PE array",
+                df.name().unwrap_or("<unnamed>"),
+                arch.pe_dims
+            )));
+        }
+        Ok(Analysis {
             op,
             df,
             arch,
             options,
             theta,
+            act,
             util: OnceLock::new(),
             vols: Mutex::new(BTreeMap::new()),
             smap: OnceLock::new(),
             tmap: OnceLock::new(),
-        };
-        let used = analysis.df.used_pes(analysis.op)?;
-        let pe_box = analysis.arch.pe_set()?;
-        if !used.is_subset(&pe_box)? {
-            return Err(Error::Invalid(format!(
-                "dataflow `{}` maps instances outside the {:?} PE array",
-                analysis.df.name().unwrap_or("<unnamed>"),
-                analysis.arch.pe_dims
-            )));
-        }
-        Ok(analysis)
+        })
     }
 
     /// The dataflow relation Θ (`S -> ST`).
@@ -175,9 +178,14 @@ impl<'a> Analysis<'a> {
         vec![delta]
     }
 
+    /// The time-stamps actually used: `range(Θ)` without the space dims.
+    fn stamps(&self) -> Result<Set> {
+        Ok(self.act.project_out(0, self.df.n_space())?)
+    }
+
     /// The extents of the time-stamp dimensions (for ordinal windows).
     fn time_extents(&self) -> Result<Vec<i64>> {
-        let stamps = self.df.time_stamps(self.op)?;
+        let stamps = self.stamps()?;
         let mut out = Vec::with_capacity(self.df.n_time());
         for d in 0..self.df.n_time() {
             let (lo, hi) = stamps.dim_bounds(d)?;
@@ -298,8 +306,8 @@ impl<'a> Analysis<'a> {
         }
         let ns = self.df.n_space();
         let nt = self.df.n_time();
-        let act = self.theta.range()?;
-        let stamps = act.project_out(0, ns)?;
+        let act = &self.act;
+        let stamps = self.stamps()?;
         let n_stamps = stamps.card()?;
         let pes_used = act.project_out(ns, nt)?.card()?;
         let pe_count = self.arch.pe_count();
@@ -439,7 +447,7 @@ impl<'a> Analysis<'a> {
     ///
     /// Propagates integer-set failures (e.g. unbounded stamps).
     pub fn makespan(&self) -> Result<(Vec<i64>, Vec<i64>)> {
-        let stamps = self.df.time_stamps(self.op)?;
+        let stamps = self.stamps()?;
         let first = stamps
             .lexmin()?
             .ok_or_else(|| Error::Invalid("empty schedule has no makespan".into()))?;

@@ -2,7 +2,7 @@
 //! scratchpad bandwidth, and energy cost table (Section II-A, Figure 4).
 
 use crate::{Error, Result};
-use tenet_isl::Set;
+use tenet_isl::{Set, Tuple};
 
 /// PE interconnection topology (Definition 3 and Figure 4).
 ///
@@ -198,15 +198,9 @@ impl ArchSpec {
 
     /// The PE array as an integer set `{ PE[p0, ...] : 0 <= p_i < dim_i }`.
     pub fn pe_set(&self) -> Result<Set> {
-        let names: Vec<String> = (0..self.pe_dims.len()).map(|i| format!("p{i}")).collect();
-        let cons: Vec<String> = self
-            .pe_dims
-            .iter()
-            .zip(names.iter())
-            .map(|(d, n)| format!("0 <= {n} < {d}"))
-            .collect();
-        let text = format!("{{ PE[{}] : {} }}", names.join(", "), cons.join(" and "));
-        Ok(Set::parse(&text)?)
+        let names = (0..self.pe_dims.len()).map(|i| format!("p{i}"));
+        let bounds: Vec<(i64, i64)> = self.pe_dims.iter().map(|&d| (0, d)).collect();
+        Ok(Set::from_box(&Tuple::new("PE", names), &bounds)?)
     }
 }
 

@@ -76,53 +76,35 @@ impl Dataflow {
     /// Builds Θ as a single map `S -> ST` whose range concatenates the
     /// space dims followed by the time dims, restricted to the iteration
     /// domain of `op`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Invalid`] naming the expression when a stamp is not
+    /// exactly one quasi-affine expression over the loop iterators.
     pub fn theta(&self, op: &TensorOp) -> Result<Map> {
         if self.space.is_empty() || self.time.is_empty() {
             return Err(Error::Invalid(
                 "a dataflow needs at least one space and one time dimension".into(),
             ));
         }
-        let mut exprs = self.space.clone();
-        exprs.extend(self.time.iter().cloned());
-        let text = format!(
-            "{{ S[{}] -> ST[{}] : {} }}",
-            op.iter_list(),
-            exprs.join(", "),
-            op.domain_constraints()
-        );
-        Ok(Map::parse(&text)?)
+        let (domain, bounds) = op.domain_box();
+        let exprs = [&self.space[..], &self.time[..]].concat();
+        Ok(Map::affine_on_box(&domain, &bounds, "ST", &exprs)?)
     }
 
-    /// The space-only relation `{ S[n] -> PE[p] }`.
-    pub fn space_map(&self, op: &TensorOp) -> Result<Map> {
-        let text = format!(
-            "{{ S[{}] -> PE[{}] : {} }}",
-            op.iter_list(),
-            self.space.join(", "),
-            op.domain_constraints()
-        );
-        Ok(Map::parse(&text)?)
-    }
-
-    /// The time-only relation `{ S[n] -> T[t] }`.
-    pub fn time_map(&self, op: &TensorOp) -> Result<Map> {
-        let text = format!(
-            "{{ S[{}] -> T[{}] : {} }}",
-            op.iter_list(),
-            self.time.join(", "),
-            op.domain_constraints()
-        );
-        Ok(Map::parse(&text)?)
-    }
-
-    /// The set of space-stamps actually used by `op` under this dataflow.
+    /// The set of space-stamps actually used by `op` under this dataflow:
+    /// the range of Θ with the time dims projected out.
     pub fn used_pes(&self, op: &TensorOp) -> Result<Set> {
-        Ok(self.space_map(op)?.range()?)
+        Ok(self
+            .theta(op)?
+            .range()?
+            .project_out(self.n_space(), self.n_time())?)
     }
 
-    /// The set of time-stamps actually used.
+    /// The set of time-stamps actually used: the range of Θ with the
+    /// space dims projected out.
     pub fn time_stamps(&self, op: &TensorOp) -> Result<Set> {
-        Ok(self.time_map(op)?.range()?)
+        Ok(self.theta(op)?.range()?.project_out(0, self.n_space())?)
     }
 
     /// Checks that Θ is injective on the iteration domain: no two loop

@@ -31,8 +31,13 @@ impl std::error::Error for Error {
 }
 
 impl From<tenet_isl::Error> for Error {
+    /// The model builds its relations from parts, so a parse error can only
+    /// come from a user-written name or expression: invalid input.
     fn from(e: tenet_isl::Error) -> Self {
-        Error::Isl(e)
+        match e {
+            tenet_isl::Error::Parse(m) => Error::Invalid(m),
+            e => Error::Isl(e),
+        }
     }
 }
 

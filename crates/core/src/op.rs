@@ -2,7 +2,7 @@
 //! affine tensor accesses (Section II-B of the paper).
 
 use crate::{Error, Result};
-use tenet_isl::{Map, Set};
+use tenet_isl::{Map, Set, Tuple};
 
 /// Whether a tensor access reads an input or writes the output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,6 +64,10 @@ pub struct TensorOp {
     name: String,
     dims: Vec<LoopDim>,
     accesses: Vec<TensorAccess>,
+    /// The access function of every tensor, in first-access order: the
+    /// union over that tensor's accesses (Equation 1), built once by
+    /// [`TensorOpBuilder::build`].
+    access_maps: Vec<(String, Map)>,
 }
 
 /// Builder for [`TensorOp`] (see [`TensorOp::builder`]).
@@ -128,13 +132,15 @@ impl TensorOpBuilder {
     /// # Errors
     ///
     /// Fails when the loop nest is empty, dimension names collide, a loop
-    /// has an empty range, or an access expression is not affine in the
+    /// or tensor name is not an identifier, a loop has an empty range, or
+    /// an access expression is not one affine expression in the
     /// iterators.
     pub fn build(self) -> Result<TensorOp> {
-        let op = TensorOp {
+        let mut op = TensorOp {
             name: self.name,
             dims: self.dims,
             accesses: self.accesses,
+            access_maps: Vec::new(),
         };
         if op.dims.is_empty() {
             return Err(Error::Invalid("a tensor op needs at least one loop".into()));
@@ -150,10 +156,14 @@ impl TensorOpBuilder {
                 )));
             }
         }
-        // Validate every access by building its map once.
         op.domain()?;
+        let (domain, bounds) = op.domain_box();
         for a in &op.accesses {
-            op.access_map_for(a)?;
+            let m = Map::affine_on_box(&domain, &bounds, &a.tensor, &a.exprs)?;
+            match op.access_maps.iter_mut().find(|(t, _)| *t == a.tensor) {
+                Some((_, prev)) => *prev = prev.union(&m)?,
+                None => op.access_maps.push((a.tensor.clone(), m)),
+            }
         }
         Ok(op)
     }
@@ -195,32 +205,17 @@ impl TensorOp {
         out
     }
 
-    /// The textual constraint list for the iteration domain.
-    pub(crate) fn domain_constraints(&self) -> String {
-        self.dims
-            .iter()
-            .map(|d| format!("{} <= {} < {}", d.lo, d.name, d.hi))
-            .collect::<Vec<_>>()
-            .join(" and ")
-    }
-
-    /// Comma-separated iterator names.
-    pub(crate) fn iter_list(&self) -> String {
-        self.dims
-            .iter()
-            .map(|d| d.name.clone())
-            .collect::<Vec<_>>()
-            .join(", ")
+    /// The statement tuple `S[i, j, …]` and each loop's `[lo, hi)`.
+    pub(crate) fn domain_box(&self) -> (Tuple, Vec<(i64, i64)>) {
+        let names = self.dims.iter().map(|d| d.name.as_str());
+        let bounds = self.dims.iter().map(|d| (d.lo, d.hi)).collect();
+        (Tuple::new("S", names), bounds)
     }
 
     /// The iteration domain `D_S` as an integer set.
     pub fn domain(&self) -> Result<Set> {
-        let text = format!(
-            "{{ S[{}] : {} }}",
-            self.iter_list(),
-            self.domain_constraints()
-        );
-        Ok(Set::parse(&text)?)
+        let (tuple, bounds) = self.domain_box();
+        Ok(Set::from_box(&tuple, &bounds)?)
     }
 
     /// Number of loop instances `sum(D_S)` (equals the number of MACs).
@@ -228,33 +223,14 @@ impl TensorOp {
         Ok(self.dims.iter().map(|d| d.extent() as u128).product())
     }
 
-    /// The access function `A_{S,F}` of one access as a map `S -> F`.
-    pub(crate) fn access_map_for(&self, a: &TensorAccess) -> Result<Map> {
-        let text = format!(
-            "{{ S[{}] -> {}[{}] : {} }}",
-            self.iter_list(),
-            a.tensor,
-            a.exprs.join(", "),
-            self.domain_constraints()
-        );
-        Ok(Map::parse(&text)?)
-    }
-
     /// The combined access function of tensor `name`: the union over all
     /// of the statement's accesses to that tensor (Equation 1).
     pub fn access_map(&self, name: &str) -> Result<Map> {
-        let mut acc: Option<Map> = None;
-        for a in &self.accesses {
-            if a.tensor != name {
-                continue;
-            }
-            let m = self.access_map_for(a)?;
-            acc = Some(match acc {
-                None => m,
-                Some(prev) => prev.union(&m)?,
-            });
-        }
-        acc.ok_or_else(|| Error::Invalid(format!("unknown tensor `{name}`")))
+        self.access_maps
+            .iter()
+            .find(|(t, _)| t == name)
+            .map(|(_, m)| m.clone())
+            .ok_or_else(|| Error::Invalid(format!("unknown tensor `{name}`")))
     }
 
     /// The role of tensor `name` (an output access wins if both exist).

@@ -24,14 +24,18 @@
 //!   is no approximation, rounding, or hash-collision risk anywhere.
 //!   Property tests (`tests/fastpath.rs`) assert this end to end.
 //! * **Bounding.** The table is cleared wholesale when it exceeds
-//!   [`MAX_ENTRIES`]; correctness never depends on a hit, so eviction is
-//!   free to be coarse.
+//!   `MAX_ENTRIES` (2¹⁷) entries; correctness never depends on a hit, so
+//!   eviction is free to be coarse.
 //! * **Concurrency.** One global mutex guards the tables. The lock is
 //!   held only for lookups and insertions, never while computing a missed
 //!   operation, so parallel DSE threads serialize on microseconds, not on
 //!   the Presburger math. Concurrent misses of the same key may compute
 //!   the value twice; both compute the same value, and the second insert
 //!   is a no-op.
+//! * **Operations, not parsing.** Parsing is not memoized: the model
+//!   builds its relations from their parts ([`Map::affine_on_box`],
+//!   [`crate::Set::from_box`], [`Map::translations`]), and only
+//!   user-written and snapshot texts are parsed.
 //!
 //! Disable globally with [`set_enabled`] or the `TENET_ISL_CACHE=off`
 //! environment variable (checked once, at first use).
@@ -100,14 +104,6 @@ struct Tables {
     next_id: u64,
     /// Memo: (op, lhs id, rhs id or MAX, extra) -> result.
     memo: HashMap<(OpKind, u64, u64, i128), CachedVal>,
-    /// Parse memos: source text -> parsed map, one table per entry point
-    /// (`Map::parse` vs `Set::parse` — each accepts texts the other
-    /// rejects, so a hit must never cross them; separate tables also allow
-    /// allocation-free borrowed lookups). Parsing is deterministic, and
-    /// the generated relation texts of the analysis layer (dataflows,
-    /// access maps) recur verbatim.
-    parsed_map: HashMap<String, Arc<Map>>,
-    parsed_set: HashMap<String, Arc<Map>>,
     /// Bumped whenever the tables are cleared. Stores capture the
     /// generation at lookup time and are dropped if eviction intervened,
     /// so a result can never be filed under a reused intern id.
@@ -388,8 +384,6 @@ pub fn clear() {
     t.memo.clear();
     t.ids.clear();
     t.n_interned = 0;
-    t.parsed_map.clear();
-    t.parsed_set.clear();
     t.next_id = 0;
     t.generation += 1;
 }
@@ -435,16 +429,10 @@ fn insert_interned(t: &mut Tables, h: u64, m: Arc<Map>) -> u64 {
 }
 
 fn evict_if_full(t: &mut Tables) {
-    if t.memo.len() > MAX_ENTRIES
-        || t.n_interned > MAX_ENTRIES
-        || t.parsed_map.len() > MAX_ENTRIES
-        || t.parsed_set.len() > MAX_ENTRIES
-    {
+    if t.memo.len() > MAX_ENTRIES || t.n_interned > MAX_ENTRIES {
         t.memo.clear();
         t.ids.clear();
         t.n_interned = 0;
-        t.parsed_map.clear();
-        t.parsed_set.clear();
         t.next_id = 0;
         t.generation += 1;
     }
@@ -532,39 +520,6 @@ fn store(op: OpKind, slot: &Slot, extra: i128, val: CachedVal) {
     if t.generation == slot.generation {
         t.memo.insert((op, slot.ia, slot.ib, extra), val);
     }
-}
-
-/// Memoizes parsing by source text. `compute` runs without the lock held.
-pub(crate) fn memo_parse(
-    as_set: bool,
-    text: &str,
-    compute: impl FnOnce() -> Result<Map>,
-) -> Result<Map> {
-    let c = ctx();
-    if !c.enabled.load(Ordering::Relaxed) {
-        return timed_compute(compute);
-    }
-    {
-        let mut t = c.tables.lock().expect("isl cache poisoned");
-        evict_if_full(&mut t);
-        let table = if as_set { &t.parsed_set } else { &t.parsed_map };
-        if let Some(m) = table.get(text) {
-            let m = Arc::clone(m);
-            drop(t);
-            record(c, true);
-            return Ok((*m).clone());
-        }
-        record(c, false);
-    }
-    let m = timed_compute(compute)?;
-    let mut t = c.tables.lock().expect("isl cache poisoned");
-    let table = if as_set {
-        &mut t.parsed_set
-    } else {
-        &mut t.parsed_map
-    };
-    table.insert(text.to_string(), Arc::new(m.clone()));
-    Ok(m)
 }
 
 /// Memoizes a map-valued operation. `compute` runs without the lock held.
@@ -709,7 +664,8 @@ pub enum ValExport {
 /// ids — restore is re-parse + re-intern under fresh ids.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoExport {
-    /// Stable operation name (see [`op_name`]).
+    /// Stable operation name (the wire name of the memoized operation,
+    /// e.g. `apply_range` or `card`).
     pub op: String,
     /// Left operand.
     pub lhs: RelExport,
@@ -729,10 +685,6 @@ pub struct MemoExport {
 /// after it, never in the middle.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheExport {
-    /// Source texts memoized by `Map::parse`.
-    pub parsed_map: Vec<String>,
-    /// Source texts memoized by `Set::parse`.
-    pub parsed_set: Vec<String>,
     /// Memoized operation entries.
     pub memo: Vec<MemoExport>,
 }
@@ -740,8 +692,6 @@ pub struct CacheExport {
 /// Outcome counts of [`import`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ImportReport {
-    /// Parse-table texts restored.
-    pub parsed: u64,
     /// Memo entries restored.
     pub memo: u64,
     /// Entries dropped (unknown op name, unparseable text, table full).
@@ -806,16 +756,10 @@ pub fn export() -> CacheExport {
             value,
         });
     }
-    CacheExport {
-        parsed_map: t.parsed_map.keys().cloned().collect(),
-        parsed_set: t.parsed_set.keys().cloned().collect(),
-        memo,
-    }
+    CacheExport { memo }
 }
 
-/// Re-parses `r` with the parser entry point it was exported for. Goes
-/// through the public parse paths, so the parse memo warms as a side
-/// effect.
+/// Re-parses `r` with the parser entry point it was exported for.
 fn reparse(r: &RelExport) -> Option<Map> {
     if r.set {
         crate::Set::parse(&r.text).ok().map(crate::Set::into_map)
@@ -833,18 +777,6 @@ pub fn import(snap: &CacheExport) -> ImportReport {
     let mut report = ImportReport::default();
     if !c.enabled.load(Ordering::Relaxed) {
         return report;
-    }
-    for text in snap.parsed_map.iter() {
-        match Map::parse(text) {
-            Ok(_) => report.parsed += 1,
-            Err(_) => report.skipped += 1,
-        }
-    }
-    for text in snap.parsed_set.iter() {
-        match crate::Set::parse(text) {
-            Ok(_) => report.parsed += 1,
-            Err(_) => report.skipped += 1,
-        }
     }
     // Parse all memo operands/values outside the lock, deduplicating
     // repeated texts, then intern + insert in one locked pass.
@@ -1038,18 +970,14 @@ mod tests {
         assert_eq!(m.card().unwrap(), 63);
         assert!(!s.as_map().is_empty().unwrap());
         let snap = export();
-        assert!(
-            snap.parsed_map.len() == 1 && snap.parsed_set.len() == 1,
-            "both parse tables exported: {snap:?}"
-        );
         assert!(snap.memo.len() >= 2, "card + empty memoized: {snap:?}");
         clear();
         let report = import(&snap);
         assert_eq!(report.skipped, 0, "round-trip must not drop entries");
         assert_eq!(report.memo as usize, snap.memo.len());
-        // Replaying the same source texts and operations must hit: parse
-        // is deterministic, so re-parsed operands are structurally
-        // identical to the re-interned snapshot operands.
+        // Replaying the same operations must hit: parse is deterministic,
+        // so re-parsed operands are structurally identical to the
+        // re-interned snapshot operands.
         let handle = CounterHandle::new();
         {
             let _attached = handle.attach();
@@ -1059,7 +987,7 @@ mod tests {
             assert!(!s2.as_map().is_empty().unwrap());
         }
         assert_eq!(handle.misses(), 0, "replay after restore must be all-warm");
-        assert_eq!(handle.hits(), 4, "parse x2 + card + empty");
+        assert_eq!(handle.hits(), 2, "card + empty");
     }
 
     #[test]
@@ -1110,32 +1038,33 @@ mod tests {
         let _guard = test_lock();
         set_enabled(true);
         clear();
+        let entry = |op: &str, text: &str| MemoExport {
+            op: op.into(),
+            lhs: RelExport {
+                text: text.into(),
+                set: false,
+            },
+            rhs: None,
+            extra: 0,
+            value: ValExport::Count(3),
+        };
         let snap = CacheExport {
-            parsed_map: vec!["{ A[i] -> B[i] : 0 <= i < 3 }".into(), "not a map".into()],
-            parsed_set: Vec::new(),
-            memo: vec![MemoExport {
-                op: "warp_speed".into(),
-                lhs: RelExport {
-                    text: "{ A[i] -> B[i] : 0 <= i < 3 }".into(),
-                    set: false,
-                },
-                rhs: None,
-                extra: 0,
-                value: ValExport::Count(3),
-            }],
+            memo: vec![
+                entry("warp_speed", "{ A[i] -> B[i] : 0 <= i < 3 }"),
+                entry("card", "not a map"),
+            ],
         };
         let report = import(&snap);
-        assert_eq!(report.parsed, 1);
         assert_eq!(report.skipped, 2, "bad text + unknown op: {report:?}");
         assert_eq!(report.memo, 0);
     }
 
     /// Parsing an N-disjunct text collects the disjuncts in one pass: no
-    /// partial union goes through the memo, so the relations interned for
-    /// a parse do not grow with N. Counted as memo lookups on a handle
-    /// attached to this thread (every interned relation is an operand of
-    /// such a lookup); the process-wide `stats().interned` also moves with
-    /// tests running in parallel.
+    /// partial union goes through the memo, and neither does the parse
+    /// itself, so parsing interns nothing. Counted as memo lookups on a
+    /// handle attached to this thread (every interned relation is an
+    /// operand of such a lookup); the process-wide `stats().interned` also
+    /// moves with tests running in parallel.
     #[test]
     fn parse_does_not_intern_partial_unions() {
         let _guard = test_lock();
@@ -1156,8 +1085,8 @@ mod tests {
             assert_eq!(m.basics().len(), n as usize);
             assert_eq!(
                 (handle.hits(), handle.misses()),
-                (0, 1),
-                "{n} disjuncts: only the parse itself may reach the memo"
+                (0, 0),
+                "{n} disjuncts: parsing must not reach the memo"
             );
         }
     }

@@ -47,7 +47,7 @@
 //!
 //! # Performance layer
 //!
-//! Four mechanisms make the substrate fast without giving up exactness:
+//! Five mechanisms make the substrate fast without giving up exactness:
 //!
 //! * **Inline constraint rows, shared spaces.** Rows are a small-vector
 //!   type (`row::Row`) storing up to 16 coefficients inline: TENET
@@ -59,8 +59,8 @@
 //!   trip does — never re-allocates a string.
 //!
 //! * **A shared operation memo ([`cache`]).** `reverse`, `apply_range`,
-//!   `intersect`, `subtract`, projection, `card`, `is_empty`, `coalesce`,
-//!   and parsing consult a process-wide, thread-safe memo table keyed by
+//!   `intersect`, `subtract`, projection, `card`, `is_empty` and
+//!   `coalesce` consult a process-wide, thread-safe memo table keyed by
 //!   *interned* operand relations. Interning compares keys with full
 //!   structural equality (never hash alone), so a hit replays exactly the
 //!   value the uncached computation would produce — results are
@@ -82,6 +82,12 @@
 //!   mechanism as memo lookups: [`fast_path_stats`] reads the
 //!   process-wide root, a [`CounterHandle`] the slice of one run, so CI
 //!   can assert the shortcuts are actually taken.
+//!
+//! * **Relations built, not printed.** [`Map::affine_on_box`] and
+//!   [`Set::from_box`] assemble a relation from tuple names, box bounds
+//!   and one expression per output dim through the parser's own
+//!   normal form, so TENET's Θ, access maps and PE box are never
+//!   formatted as text and re-parsed, and parsing needs no memo.
 //!
 //! * **Composition by substitution.** TENET's spacetime-stamp maps are
 //!   unions of pure translations `ST[x] -> ST[x + δ]` (built directly by

@@ -28,16 +28,6 @@ pub struct Map {
 }
 
 impl Map {
-    /// Parses a map from the ISL-style textual notation used in the paper,
-    /// e.g. `{ S[i,j,k] -> PE[i mod 8, j mod 8] : 0 <= i < 64 }`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Parse`] for malformed or non-affine input.
-    pub fn parse(text: &str) -> Result<Map> {
-        cache::memo_parse(false, text, || crate::parse::parse_map(text))
-    }
-
     /// A map holding a single basic map.
     pub fn from_basic(bm: BasicMap) -> Map {
         Map {
@@ -593,8 +583,8 @@ impl Map {
     }
 
     /// Merges disjuncts when their union is exactly representable as one
-    /// basic map (see [`crate::coalesce`] patterns). Never changes the
-    /// set of pairs.
+    /// basic map (see the patterns of the crate's `coalesce` module).
+    /// Never changes the set of pairs.
     pub fn coalesce(&self) -> Map {
         if self.basics.len() <= 1 {
             // Nothing to merge; skip the memo round trip.

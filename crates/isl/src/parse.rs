@@ -9,7 +9,8 @@
 //! Supported expressions are integer-affine combinations of dimensions plus
 //! `floor(e / d)` (alias `fl(e / d)`) and `e mod d` / `e % d` with positive
 //! literal divisors. Conditions are comparison chains joined by `and`, with
-//! `or` and `;` producing unions.
+//! `or` and `;` producing unions. [`Map::affine_on_box`] and
+//! [`Set::from_box`] build relations from parts through the same AST.
 
 use crate::basic::BasicMap;
 use crate::map::Map;
@@ -210,10 +211,13 @@ struct Chain {
 /// One `or`-branch: a conjunction of chains.
 type Conj = Vec<Chain>;
 
+/// A tuple: its optional name and its entries.
+type TupleAst = (Option<String>, Vec<EAst>);
+
 #[derive(Debug, Clone)]
 struct DisjunctAst {
-    in_tuple: Option<(Option<String>, Vec<EAst>)>,
-    out_tuple: (Option<String>, Vec<EAst>),
+    in_tuple: Option<TupleAst>,
+    out_tuple: TupleAst,
     branches: Vec<Conj>, // at least one (empty = no condition)
 }
 
@@ -292,7 +296,7 @@ impl Parser {
         })
     }
 
-    fn parse_tuple(&mut self) -> Result<(Option<String>, Vec<EAst>)> {
+    fn parse_tuple(&mut self) -> Result<TupleAst> {
         let name = match self.peek() {
             Some(Tok::Ident(_)) => {
                 if let Tok::Ident(n) = self.next()? {
@@ -730,16 +734,151 @@ fn union_disjuncts(disjuncts: &[DisjunctAst], is_map: bool) -> Result<Map> {
     Ok(Map { space, basics })
 }
 
-pub(crate) fn parse_map(text: &str) -> Result<Map> {
-    let toks = lex(text)?;
-    let mut p = Parser { toks, pos: 0 };
-    union_disjuncts(&p.parse_relation()?, true)
+// --------------------------------------------------------- constructors --
+
+/// Checks that `name` is exactly one identifier of the notation.
+fn identifier(name: &str) -> Result<String> {
+    match lex(name).as_deref() {
+        Ok([Tok::Ident(n)]) if n == name => Ok(n.clone()),
+        _ => Err(Error::Parse(format!("`{name}` is not an identifier"))),
+    }
 }
 
-pub(crate) fn parse_set(text: &str) -> Result<Set> {
+/// The tuple `T[d0, d1, …]` with the condition `lo0 <= d0 < hi0 and …`,
+/// as the parser would read it from text.
+fn box_tuple(t: &Tuple, bounds: &[(i64, i64)]) -> Result<(TupleAst, Conj)> {
+    let n = bounds.len();
+    if n != t.dims.len() {
+        return Err(Error::SpaceMismatch(format!("{n} bounds for {t}")));
+    }
+    let mut vars = Vec::with_capacity(n);
+    let mut chains = Vec::with_capacity(n);
+    let name = t.name.as_deref().map(identifier).transpose()?;
+    for (d, &(lo, hi)) in t.dims.iter().zip(bounds) {
+        let d = identifier(d)?;
+        vars.push(EAst::Var(d.clone()));
+        chains.push(Chain {
+            items: vec![EAst::Int(lo), EAst::Var(d), EAst::Int(hi)],
+            ops: vec![Cmp::Le, Cmp::Lt],
+        });
+    }
+    Ok(((name, vars), chains))
+}
+
+/// Parses `text` as exactly one expression and evaluates it over `dims`.
+fn expr_alone(text: &str, bm: &mut BasicMap, dims: &HashMap<String, usize>) -> Result<EAst> {
     let toks = lex(text)?;
     let mut p = Parser { toks, pos: 0 };
-    Set::try_from_map(union_disjuncts(&p.parse_relation()?, false)?)
+    let e = p.parse_expr()?;
+    if p.pos != p.toks.len() {
+        return Err(Error::Parse("trailing input after the expression".into()));
+    }
+    eval(&e, bm, dims)?;
+    Ok(e)
+}
+
+// The entry points. Relations built from parts assemble the AST parsed
+// from the same relation written out, so they equal the parsed relation.
+
+impl Map {
+    /// Parses a map from the ISL-style textual notation used in the paper,
+    /// e.g. `{ S[i,j,k] -> PE[i mod 8, j mod 8] : 0 <= i < 64 }`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Parse`] for malformed or non-affine input.
+    pub fn parse(text: &str) -> Result<Map> {
+        let toks = lex(text)?;
+        let mut p = Parser { toks, pos: 0 };
+        union_disjuncts(&p.parse_relation()?, true)
+    }
+
+    /// The map `{ D[d0, …] -> R[e0, e1, …] : lo0 <= d0 < hi0 and … }` over
+    /// the box `bounds` (one `[lo, hi)` per domain dim), with one output
+    /// dim per expression, each in the notation's expression syntax over
+    /// the domain's dims. Equals [`Map::parse`] of that text.
+    ///
+    /// ```
+    /// use tenet_isl::{Map, Tuple};
+    /// let d = Tuple::new("S", ["i", "j"]);
+    /// let m = Map::affine_on_box(&d, &[(0, 4), (0, 3)], "A", &["i + j", "j mod 2"])?;
+    /// let text = "{ S[i, j] -> A[i + j, j mod 2] : 0 <= i < 4 and 0 <= j < 3 }";
+    /// assert_eq!(m, Map::parse(text)?);
+    /// # Ok::<(), tenet_isl::Error>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Parse`] naming the expression when one is not exactly one
+    /// quasi-affine expression over the domain's dims, or when a name is
+    /// not an identifier; [`Error::SpaceMismatch`] when `bounds` does not
+    /// match the domain.
+    pub fn affine_on_box<E: AsRef<str>>(
+        domain: &Tuple,
+        bounds: &[(i64, i64)],
+        range: &str,
+        exprs: &[E],
+    ) -> Result<Map> {
+        let (in_tuple, condition) = box_tuple(domain, bounds)?;
+        let dims: HashMap<String, usize> = domain.dims.iter().cloned().zip(0..).collect();
+        // Evaluating into a map with no output dims rejects any name that
+        // is not a domain dim, and any non-affine term.
+        let mut scratch = BasicMap::universe(Space::map(domain.clone(), Tuple::default()));
+        let outs = exprs
+            .iter()
+            .map(|text| {
+                let text = text.as_ref();
+                expr_alone(text, &mut scratch, &dims)
+                    .map_err(|e| Error::Parse(format!("expression `{text}`: {e}")))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let d = DisjunctAst {
+            in_tuple: Some(in_tuple),
+            out_tuple: (Some(identifier(range)?), outs),
+            branches: vec![condition],
+        };
+        let (space, basics) = build_disjunct(&d, true)?;
+        Ok(Map { space, basics })
+    }
+}
+
+impl Set {
+    /// Parses a set from textual notation, e.g. `{ PE[i, j] : 0 <= i, 0 <=
+    /// j and i < 8 and j < 8 }`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Parse`] for malformed or non-affine input.
+    pub fn parse(text: &str) -> Result<Set> {
+        let toks = lex(text)?;
+        let mut p = Parser { toks, pos: 0 };
+        Set::try_from_map(union_disjuncts(&p.parse_relation()?, false)?)
+    }
+
+    /// The box `{ T[d0, d1, …] : lo0 <= d0 < hi0 and … }`, one `[lo, hi)`
+    /// per dim of `tuple`. Equals [`Set::parse`] of that text.
+    ///
+    /// ```
+    /// use tenet_isl::{Set, Tuple};
+    /// let pe = Set::from_box(&Tuple::new("PE", ["p0", "p1"]), &[(0, 8), (0, 4)])?;
+    /// assert_eq!(pe, Set::parse("{ PE[p0, p1] : 0 <= p0 < 8 and 0 <= p1 < 4 }")?);
+    /// # Ok::<(), tenet_isl::Error>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Parse`] when a name is not an identifier;
+    /// [`Error::SpaceMismatch`] when `bounds` does not match the tuple.
+    pub fn from_box(tuple: &Tuple, bounds: &[(i64, i64)]) -> Result<Set> {
+        let (out_tuple, condition) = box_tuple(tuple, bounds)?;
+        let d = DisjunctAst {
+            in_tuple: None,
+            out_tuple,
+            branches: vec![condition],
+        };
+        let (space, basics) = build_disjunct(&d, false)?;
+        Set::try_from_map(Map { space, basics })
+    }
 }
 
 #[cfg(test)]

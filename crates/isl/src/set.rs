@@ -18,22 +18,6 @@ pub struct Set {
 }
 
 impl Set {
-    /// Parses a set from textual notation, e.g. `{ PE[i, j] : 0 <= i, 0 <=
-    /// j and i < 8 and j < 8 }`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Parse`] for malformed or non-affine input.
-    pub fn parse(text: &str) -> Result<Set> {
-        // Sets memoize through their map representation, under a key
-        // distinct from `Map::parse` (each rejects the other's texts).
-        Ok(Set {
-            map: crate::cache::memo_parse(true, text, || {
-                crate::parse::parse_set(text).map(Set::into_map)
-            })?,
-        })
-    }
-
     /// Wraps a map that already has an empty domain.
     pub(crate) fn from_map_unchecked(map: Map) -> Set {
         debug_assert_eq!(map.n_in(), 0);

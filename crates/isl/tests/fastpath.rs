@@ -350,8 +350,8 @@ fn cached_and_uncached_set_algebra_agree_randomized() {
     }
 }
 
-/// A cached `Set::parse` of a text must not make `Map::parse` of the same
-/// text succeed (and vice versa): the parse memo is keyed per entry point.
+/// `Set::parse` and `Map::parse` each reject the other's texts, also right
+/// after the other has parsed the same text.
 #[test]
 fn parse_memo_does_not_cross_entry_points() {
     let set_text = "{ Q[a, b] : 0 <= a < 3 and 0 <= b < 2 }";
@@ -359,11 +359,11 @@ fn parse_memo_does_not_cross_entry_points() {
     assert!(Set::parse(set_text).is_ok());
     assert!(
         Map::parse(set_text).is_err(),
-        "set text must still be rejected by Map::parse after caching"
+        "set text must be rejected by Map::parse"
     );
     assert!(Map::parse(map_text).is_ok());
     assert!(
         Set::parse(map_text).is_err(),
-        "map text must still be rejected by Set::parse after caching"
+        "map text must be rejected by Set::parse"
     );
 }

@@ -1031,11 +1031,11 @@ fn space_sharing_keeps_hash_and_fmt_stable() {
         let c = m.clone();
         assert_eq!(hash_of(&c), h0, "{text}");
         assert_eq!(c.to_string(), s0, "{text}");
-        // Memo round trips (parse hit, reverse twice, card) must hand
-        // back structurally identical relations.
+        // Round trips (parse again, reverse twice, card) must hand back
+        // structurally identical relations.
         let again = Map::parse(text).unwrap();
-        assert_eq!(hash_of(&again), h0, "parse memo round trip: {text}");
-        assert_eq!(again.to_string(), s0, "parse memo round trip: {text}");
+        assert_eq!(hash_of(&again), h0, "re-parse round trip: {text}");
+        assert_eq!(again.to_string(), s0, "re-parse round trip: {text}");
         let rr = m.reverse().reverse();
         assert_eq!(rr, m, "reverse round trip: {text}");
         assert_eq!(hash_of(&rr), h0, "reverse round trip: {text}");

@@ -50,7 +50,7 @@
 //! * [`fault`] — [`fault::FaultTransport`], a seeded fault-injection
 //!   wrapper around any transport (latency spikes, drops, 5xx bursts,
 //!   torn responses, flap windows) for chaos tests and drills.
-//! * [`router`] — accept loop, proxy path (deadline propagation,
+//! * `router` — accept loop, proxy path (deadline propagation,
 //!   bounded jittered retries, per-shard circuit breakers, per-client
 //!   admission control, hedging, replication write-through), fan-outs,
 //!   health prober, cascaded drain.

@@ -90,11 +90,10 @@ impl Server {
             if path.exists() {
                 match crate::snapshot::load_from_file(&core, &path) {
                     Ok(r) => eprintln!(
-                        "tenet-server: restored snapshot {} (dedup {}, isl memo {}, isl parsed {}, skipped {})",
+                        "tenet-server: restored snapshot {} (dedup {}, isl memo {}, skipped {})",
                         path.display(),
                         r.dedup,
                         r.isl_memo,
-                        r.isl_parsed,
                         r.skipped
                     ),
                     Err(e) => eprintln!(

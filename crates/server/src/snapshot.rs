@@ -98,8 +98,6 @@ impl Section {
 pub struct RestoreReport {
     /// Response-LRU entries newly stored.
     pub dedup: u64,
-    /// ISL parse-table texts restored.
-    pub isl_parsed: u64,
     /// ISL memo entries restored.
     pub isl_memo: u64,
     /// Entries dropped (unparseable text, unknown op, malformed row).
@@ -169,7 +167,6 @@ pub fn restore(core: &WorkerCore, payload: &Json) -> RestoreReport {
     if let Some(isl) = payload.get("isl") {
         let (snap, bad_rows) = isl_from_json(isl);
         let r = isl_cache::import(&snap);
-        report.isl_parsed = r.parsed;
         report.isl_memo = r.memo;
         report.skipped += r.skipped + bad_rows;
     }
@@ -297,7 +294,6 @@ fn rel_from_json(v: &Json) -> Option<RelExport> {
 }
 
 fn isl_to_json(snap: &CacheExport) -> Json {
-    let strs = |v: &[String]| Json::Arr(v.iter().map(|s| Json::from(s.as_str())).collect());
     let memo: Vec<Json> = snap
         .memo
         .iter()
@@ -327,29 +323,14 @@ fn isl_to_json(snap: &CacheExport) -> Json {
             ])
         })
         .collect();
-    Json::obj([
-        ("parsed_map", strs(&snap.parsed_map)),
-        ("parsed_set", strs(&snap.parsed_set)),
-        ("memo", Json::Arr(memo)),
-    ])
+    Json::obj([("memo", Json::Arr(memo))])
 }
 
 /// Decodes the ISL section; malformed rows are dropped and counted in
-/// the second return value.
+/// the second return value. The `parsed_map`/`parsed_set` text lists that
+/// older snapshots carry are ignored: parsing is not memoized.
 fn isl_from_json(v: &Json) -> (CacheExport, u64) {
-    fn texts(v: &Json, key: &str, bad: &mut u64) -> Vec<String> {
-        let mut out = Vec::new();
-        for item in v.get(key).and_then(Json::as_arr).unwrap_or(&[]) {
-            match item.as_str() {
-                Some(s) => out.push(s.to_string()),
-                None => *bad += 1,
-            }
-        }
-        out
-    }
     let mut bad = 0u64;
-    let parsed_map = texts(v, "parsed_map", &mut bad);
-    let parsed_set = texts(v, "parsed_set", &mut bad);
     let mut memo = Vec::new();
     for row in v.get("memo").and_then(Json::as_arr).unwrap_or(&[]) {
         let decoded = (|| {
@@ -382,14 +363,7 @@ fn isl_from_json(v: &Json) -> (CacheExport, u64) {
             None => bad += 1,
         }
     }
-    (
-        CacheExport {
-            parsed_map,
-            parsed_set,
-            memo,
-        },
-        bad,
-    )
+    (CacheExport { memo }, bad)
 }
 
 #[cfg(test)]

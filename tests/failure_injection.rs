@@ -2,7 +2,7 @@
 //! ill-formed inputs with an error (never a panic, never a silent wrong
 //! answer), and must stay exact on boundary-sized inputs.
 
-use tenet::core::{validate, Analysis, ArchSpec, Dataflow, Interconnect, TensorOp};
+use tenet::core::{validate, Analysis, ArchSpec, Dataflow, Error, Interconnect, TensorOp};
 use tenet::sim::{simulate, SimOptions};
 use tenet::workloads::kernels;
 
@@ -200,4 +200,73 @@ fn scratchpad_capacity_violation_reported_not_fatal() {
     // Capacity pressure is advisory (double-buffering is the paper's
     // assumption); validity only tracks injectivity and bounds.
     assert!(report.is_valid());
+}
+
+/// The Y[i] = A[i] copy over four iterations on a 4-PE Mesh array.
+fn copy4() -> (TensorOp, ArchSpec) {
+    let op = TensorOp::builder("copy")
+        .dim("i", 4)
+        .read("A", ["i"])
+        .write("Y", ["i"])
+        .build()
+        .unwrap();
+    (op, ArchSpec::new("4", [4], Interconnect::Mesh, 4.0))
+}
+
+/// Asserts that the analysis rejects `df` as invalid input, naming `expr`.
+fn assert_rejects_stamp(df: Dataflow, expr: &str) {
+    let (op, arch) = copy4();
+    match Analysis::new(&op, &df, &arch) {
+        Err(Error::Invalid(m)) => assert!(m.contains(&format!("`{expr}`")), "{m}"),
+        Err(e) => panic!("`{expr}`: expected an invalid-input error, got {e}"),
+        Ok(a) => panic!("`{expr}` accepted: {:?}", a.report()),
+    }
+}
+
+/// A stamp is one expression, never a piece of relation text: text that
+/// closes the tuple and appends a second disjunct must not change Θ (it
+/// used to double every volume and the stamp count).
+#[test]
+fn stamp_smuggling_relation_text_is_rejected() {
+    let expr = "i] : 0 <= i < 4; S[i] -> ST[i, i + 4";
+    assert_rejects_stamp(Dataflow::new(["i"], [expr]), expr);
+}
+
+/// A stamp naming something other than a loop iterator is not a free
+/// dimension of Θ.
+#[test]
+fn stamp_over_a_non_iterator_is_rejected() {
+    assert_rejects_stamp(Dataflow::new(["i"], ["x"]), "x");
+}
+
+/// Two stamps written as one expression are rejected by name, not as a
+/// bare space mismatch.
+#[test]
+fn two_stamps_in_one_expression_are_rejected() {
+    assert_rejects_stamp(Dataflow::new(["i, i"], ["i"]), "i, i");
+}
+
+/// Loop and tensor names are identifiers of the notation.
+#[test]
+fn non_identifier_names_are_rejected_by_builder() {
+    let with = |dim: &str, tensor: &str| {
+        TensorOp::builder("bad")
+            .dim(dim, 4)
+            .read(tensor, [dim])
+            .write("Y", [dim])
+            .build()
+    };
+    assert!(with("i", "A").is_ok());
+    for (dim, tensor) in [
+        ("i j", "A"),
+        ("mod", "A"),
+        ("i", "A[0]"),
+        ("i", "and"),
+        ("i", ""),
+    ] {
+        match with(dim, tensor) {
+            Err(Error::Invalid(m)) => assert!(m.contains("not an identifier"), "{m}"),
+            other => panic!("loop `{dim}`, tensor `{tensor}`: {other:?}"),
+        }
+    }
 }
